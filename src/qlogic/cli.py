@@ -23,18 +23,16 @@ from .generators import (
     roundtrip_suite,
 )
 from .modelfile import (
+    REALIZERS,
     emit_cond,
     emit_logic,
-    emit_observable,
     emit_smap,
     emit_state,
     kind_attr,
     parse_model,
-    realize_cond,
     realize_logic,
     realize_observable,
     realize_smap,
-    realize_state,
 )
 from .observables import compute_stats
 from .rational import fmt, fmt_float
@@ -42,9 +40,6 @@ from .repro import REPRO_IDS, run_repro
 from .smaps import conditional_from_smap, smap_from_conditional
 
 FAMILIES = {"boolean": gen_boolean, "mo": gen_mo}
-
-REALIZERS = {"state": realize_state, "cond": realize_cond,
-             "smap": realize_smap, "observable": realize_observable}
 
 
 def _fail(message: str, code: int) -> int:

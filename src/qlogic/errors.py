@@ -232,15 +232,6 @@ class UnsupportedLattice(QLogicError):
     pass
 
 
-class InfeasibleAllocation(QLogicError):
-    """Marginal completion of a sampled table failed.
-
-    Unreachable for the shipped block generators (the sequential sampler
-    stays inside the transportation polytope); kept as a guard for foreign
-    lattices routed through random_smap.
-    """
-
-
 # ---------------------------------------------------------------------------
 # model files
 
@@ -265,9 +256,3 @@ class DuplicateSection(ParseError):
     def __init__(self, line: int | None, name: str):
         self.name = name
         super().__init__(line, f"duplicate section {name!r}")
-
-
-# ---------------------------------------------------------------------------
-
-class CapWarning(UserWarning):
-    """Emitted when the size cap on enumerated orthogonal families binds."""

@@ -31,7 +31,7 @@ from .observables import (
     first_joint_moment,
 )
 from .smaps import SMap, conditional_from_smap, smap_from_conditional, validate_smap
-from .states import State, validate_state
+from .states import State, validate_conditional_state
 
 #: resolution of the random rational draws
 DENOMINATOR_BOUND = 1000
@@ -200,7 +200,7 @@ def random_state(logic: QuantumLogic, seed: int) -> State:
             mass[atom] = m
     values = {e: sum((mass[a] for a in below[e]), Fraction(0))
               for e in logic.names}
-    return validate_state(logic, values)
+    return State(logic, values)
 
 
 def random_smap(logic: QuantumLogic, seed: int) -> SMap:
@@ -209,8 +209,8 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     Draws a strictly positive diagonal state over each block's atoms, then
     one table per ordered pair of distinct blocks from the transportation
     polytope with those margins (sequential sampling stays feasible, so no
-    retries are needed).  Remaining entries follow by additivity.  The
-    result is validated before it is returned, and is deterministic for a
+    retries are needed).  Remaining entries follow by additivity, so the
+    result is a valid s-map by construction; it is deterministic for a
     fixed seed.
     """
     blocks = infer_blocks(logic)
@@ -253,7 +253,7 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
             values[u, v] = sum((atom_table[a, b]
                                 for a in below[u] for b in below[v]),
                                Fraction(0))
-    return validate_smap(logic, values)
+    return SMap(logic, values)
 
 
 # ---------------------------------------------------------------------------
@@ -436,15 +436,17 @@ def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
 
 
 def roundtrip_suite(logic: QuantumLogic, trials: int, seed: int) -> SuiteReport:
-    """Generate seeded s-maps and drive each through the conversion
-    roundtrips and the full theorem battery."""
+    """Generate seeded s-maps and drive each through the validators, the
+    conversion roundtrips and the full theorem battery."""
     rng = random.Random(seed)
     passed = failed = 0
     first_failure = None
 
     def run_trial(trial_seed: int) -> str | None:
         p = random_smap(logic, trial_seed)
+        validate_smap(logic, p.values)
         f = conditional_from_smap(p)
+        validate_conditional_state(logic, f.cs, f.values)
         p2 = smap_from_conditional(f)
         if p2.values != p.values:
             return "s-map -> conditional -> s-map is not the identity"

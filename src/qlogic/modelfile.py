@@ -293,13 +293,16 @@ def realize_observable(logic: QuantumLogic, table: dict) -> DiscreteObservable:
     return build_observable(logic, table.items())
 
 
+#: section kind -> realizer taking (logic, parsed table)
+REALIZERS = {"state": realize_state, "cond": realize_cond,
+             "smap": realize_smap, "observable": realize_observable}
+
+
 def realize_model(parsed: ParsedModel) -> ModelFile:
     logic = realize_logic(parsed)
     model = ModelFile(logic, {}, {}, {}, {})
-    builders = {"state": realize_state, "cond": realize_cond,
-                "smap": realize_smap, "observable": realize_observable}
     for kind, name in parsed.sections:
-        built = builders[kind](logic, parsed.table(kind, name))
+        built = REALIZERS[kind](logic, parsed.table(kind, name))
         getattr(model, kind_attr(kind))[name] = built
     return model
 

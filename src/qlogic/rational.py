@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def frac(value) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction.
@@ -32,10 +30,6 @@ def frac(value) -> Fraction:
         raise TypeError(
             f"refusing float {value!r}: pass a string or Fraction to stay exact")
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
-
-
-def is_probability(q: Fraction) -> bool:
-    return 0 <= q <= 1
 
 
 def fmt(q: Fraction) -> str:

@@ -22,7 +22,7 @@ from .modelfile import (
     realize_model,
     realize_smap,
 )
-from .observables import compute_stats
+from .observables import CORRELATION_TOL, compute_stats
 from .rational import fmt, fmt_float
 from .smaps import conditional_from_smap, smap_from_conditional
 
@@ -33,8 +33,6 @@ FIXTURES = {
     "2.2-printed": "example22_printed.qlm",
     "2.2-corrected": "example22_corrected.qlm",
 }
-
-CORRELATION_TOL = 1e-9
 
 #: atom table of the example21 s-map, also the target for deriving it
 #: from the conditional state

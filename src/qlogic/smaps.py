@@ -29,8 +29,6 @@ from .states import (
     ConditionalSystem,
     State,
     conditional_system_generated,
-    validate_conditional_state,
-    validate_state,
 )
 
 
@@ -49,8 +47,7 @@ class SMap:
 
     def diagonal_state(self) -> State:
         """The marginal state b -> p(b, b); always valid for a valid s-map."""
-        return validate_state(self.logic,
-                              {b: self.values[b, b] for b in self.logic.names})
+        return State(self.logic, {b: self.values[b, b] for b in self.logic.names})
 
     def is_independent_pair(self, b: str, a: str) -> bool:
         """Product factorization p(b, a) = p(a, a) p(b, b), exactly.
@@ -113,7 +110,7 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
         values[a, ZERO] = Fraction(0)
         for b in logic.nonzero_elements:
             values[a, b] = f(a, b) * f(b, ONE)
-    return validate_smap(logic, values)
+    return SMap(logic, values)
 
 
 def conditional_from_smap(p: SMap) -> ConditionalState:
@@ -134,7 +131,7 @@ def conditional_from_smap(p: SMap) -> ConditionalState:
     cs = ConditionalSystem(logic, members)
     values = {(a, b): p(a, b) / nu(b)
               for b in cs.sorted_members() for a in logic.names}
-    return validate_conditional_state(logic, cs, values)
+    return ConditionalState(logic, cs, values)
 
 
 def classical_smap(m: State) -> SMap:

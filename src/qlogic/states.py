@@ -12,7 +12,6 @@ equality, so 11/30 stays 11/30.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from .errors import (
     C1Violation,
     C2Violation,
     C3Violation,
-    CapWarning,
     InvalidConditionalSystem,
     MissingTableEntry,
     NotOrthogonal,
@@ -35,10 +33,6 @@ from .errors import (
 )
 from .lattice import ONE, ZERO, QuantumLogic
 from .rational import frac
-
-#: largest orthogonal family enumerated by the decomposition check (C3);
-#: a CapWarning is emitted whenever a family would have grown past this
-C3_FAMILY_CAP = 8
 
 
 @dataclass(frozen=True, eq=True)
@@ -199,38 +193,14 @@ class ConditionalState:
         return self(b, c) == self(b, a)
 
 
-def _orthogonal_families(logic: QuantumLogic, members: tuple[str, ...]):
-    """Yield all families of >= 2 mutually orthogonal members in
-    lexicographic index order, capped at C3_FAMILY_CAP elements."""
-    capped = False
-
-    def extend(prefix: list, start: int):
-        nonlocal capped
-        for k in range(start, len(members)):
-            cand = members[k]
-            if all(logic.is_orthogonal(m, cand) for m in prefix):
-                if len(prefix) >= C3_FAMILY_CAP:
-                    capped = True
-                    return
-                prefix.append(cand)
-                if len(prefix) >= 2:
-                    yield tuple(prefix)
-                yield from extend(prefix, k + 1)
-                prefix.pop()
-
-    yield from extend([], 0)
-    if capped:
-        warnings.warn(
-            f"orthogonal families larger than {C3_FAMILY_CAP} were not "
-            f"enumerated; the decomposition check is truncated", CapWarning)
-
-
 def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalState:
     """Verify all three conditional-state axioms.
 
-    The decomposition axiom is checked for every family of mutually
-    orthogonal members whose join lies in the conditional system, up to
-    families of C3_FAMILY_CAP elements.
+    The decomposition axiom is checked on every orthogonal pair of members
+    whose join lies in the conditional system, in index order.  That covers
+    every finite orthogonal family: the system is join-closed, so by
+    induction the pair law at a1 v ... v a(k-1) and ak, together with
+    f(ai | ak) = 0 for orthogonal members, gives the law for a1, ..., ak.
     """
     if not isinstance(cs, ConditionalSystem):
         cs = validate_conditional_system(logic, cs)
@@ -252,17 +222,18 @@ def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalSt
     for a in members:
         if table[a, a] != 1:
             raise C2Violation(a, table[a, a])
-    for family in _orthogonal_families(logic, members):
-        j = logic.join_all(family)
-        if j not in cs:
-            continue
-        weights = [table[a, j] for a in family]
-        for b in logic.names:
-            lhs = table[b, j]
-            rhs = sum((w * table[b, a] for w, a in zip(weights, family)),
-                      Fraction(0))
-            if lhs != rhs:
-                raise C3Violation(family, b, lhs, rhs)
+    for i, a in enumerate(members):
+        for c in members[i + 1:]:
+            if not logic.is_orthogonal(a, c):
+                continue
+            j = logic.join(a, c)
+            if j not in cs:
+                continue
+            for b in logic.names:
+                lhs = table[b, j]
+                rhs = table[a, j] * table[b, a] + table[c, j] * table[b, c]
+                if lhs != rhs:
+                    raise C3Violation((a, c), b, lhs, rhs)
     return ConditionalState(logic, cs, table)
 
 

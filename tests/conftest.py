@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from qlogic import gen_boolean, gen_mo
+from qlogic import gen_boolean, gen_mo, horizontal_sum
 from qlogic.modelfile import parse_model_text, realize_model
 from qlogic.repro import fixture_text
 
@@ -20,6 +20,15 @@ def mo3():
 @pytest.fixture(scope="session")
 def boolean3():
     return gen_boolean(3)
+
+
+@pytest.fixture(scope="session")
+def sampled_lattices():
+    """Every lattice shape the seeded samplers are tested on, by label."""
+    shapes = {f"mo-{n}": gen_mo(n) for n in (2, 3, 4)}
+    shapes.update({f"boolean-{n}": gen_boolean(n) for n in (2, 3, 4)})
+    shapes["hs-3-4"] = horizontal_sum([3, 4])
+    return shapes
 
 
 @pytest.fixture(scope="session")

@@ -90,7 +90,7 @@ def test_criterion_1_primary_fixture():
         start = time.perf_counter()
         report = run_repro("2.1")
         elapsed = time.perf_counter() - start
-        assert report.ok, "\n".join(report.failures)
+        assert report.ok, "\n".join(report.lines)
         assert elapsed < 1.0, f"repro took {elapsed:.3f}s"
         timed_cli(["repro", "2.1"], 1.0)
 
@@ -122,7 +122,7 @@ def test_criterion_2_printed_defect_detected():
         start = time.perf_counter()
         report = run_repro("2.2-printed")
         elapsed = time.perf_counter() - start
-        assert report.ok, "\n".join(report.failures)
+        assert report.ok, "\n".join(report.lines)
         assert elapsed < 1.0, f"repro took {elapsed:.3f}s"
         timed_cli(["repro", "2.2-printed"], 1.0)
 
@@ -139,7 +139,7 @@ def test_criterion_3_corrected_fixture():
         start = time.perf_counter()
         report = run_repro("2.2-corrected")
         elapsed = time.perf_counter() - start
-        assert report.ok, "\n".join(report.failures)
+        assert report.ok, "\n".join(report.lines)
         assert elapsed < 1.0, f"repro took {elapsed:.3f}s"
         timed_cli(["repro", "2.2-corrected"], 1.0)
 

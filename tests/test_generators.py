@@ -21,6 +21,7 @@ from qlogic import (
     random_state,
     roundtrip_suite,
     validate_smap,
+    validate_state,
 )
 from qlogic.errors import SizeOutOfRange, UnsupportedLattice
 from qlogic.generators import DENOMINATOR_BOUND
@@ -120,12 +121,15 @@ def test_random_state_positive_atoms(mo3):
         assert sum(m(atom) for atom in block) == 1
 
 
-def test_random_smap_is_valid_and_deterministic(mo3):
-    p = random_smap(mo3, 7)
-    q = random_smap(mo3, 7)
-    assert p.values == q.values
-    # revalidation from the raw table goes through every axiom again
-    assert validate_smap(mo3, dict(p.values)).values == p.values
+def test_random_smap_is_valid_and_deterministic(sampled_lattices):
+    for logic in sampled_lattices.values():
+        p = random_smap(logic, 7)
+        assert random_smap(logic, 7).values == p.values
+        m = random_state(logic, 7)
+        assert random_state(logic, 7).values == m.values
+        # the samplers do not validate; this goes through every axiom
+        assert validate_smap(logic, dict(p.values)) == p
+        assert validate_state(logic, dict(m.values)) == m
 
 
 def test_random_smap_marginal_law(mo3):

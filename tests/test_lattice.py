@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 from itertools import combinations
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlogic
 from qlogic import build_logic, gen_boolean, gen_mo
 from qlogic.errors import (
     AxiomViolation,
@@ -32,6 +34,9 @@ def test_mo2_structure(mo2):
     assert mo2.join("a", "b") == ONE
     assert mo2.meet("a", ONE) == "a"
     assert mo2.join("a", ZERO) == "a"
+    # the public names resolve, and submodules are not among them
+    for name in qlogic.__all__:
+        assert not isinstance(getattr(qlogic, name), ModuleType), name
 
 
 def test_mo2_covers_are_bound_edges(mo2):

@@ -12,7 +12,6 @@ from qlogic import (
     classical_smap,
     conditional_from_smap,
     gen_boolean,
-    gen_mo,
     random_smap,
     random_state,
     smap_from_conditional,
@@ -180,10 +179,17 @@ def test_independence_product_rule(example21):
 
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 10**6))
-def test_random_roundtrip_mo3(seed):
-    p = random_smap(gen_mo(3), seed)
-    f = conditional_from_smap(p)
-    assert smap_from_conditional(f).values == p.values
+def test_random_roundtrip(sampled_lattices, seed):
+    # the conversions trust their input, so each output is validated here
+    for logic in sampled_lattices.values():
+        p = random_smap(logic, seed)
+        nu = p.diagonal_state()
+        assert validate_state(logic, nu.values) == nu
+        f = conditional_from_smap(p)
+        assert validate_conditional_state(logic, f.cs, f.values) == f
+        p2 = smap_from_conditional(f)
+        assert validate_smap(logic, p2.values) == p2
+        assert p2.values == p.values
 
 
 @settings(deadline=None, max_examples=25)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,12 @@ from hypothesis import strategies as st
 
 from qlogic import (
     classical_conditional,
+    conditional_from_smap,
     conditional_state_from_partition,
     conditional_system_generated,
     gen_boolean,
+    horizontal_sum,
+    random_smap,
     validate_conditional_state,
     validate_conditional_system,
     validate_state,
@@ -152,6 +156,59 @@ def test_c3_violation(example21):
     assert set(exc.value.family) == {"a", "a'"}
     assert exc.value.b == "b"
     assert exc.value.lhs == F(1, 4) and exc.value.rhs == F(3, 10)
+
+
+def _family_law_failure(logic, members, table):
+    """Brute-force decomposition law over every family of >= 2 mutually
+    orthogonal members whose join is a member; returns the first failing
+    (family, b), or None.  `members` is in index order."""
+
+    def families(prefix, rest):
+        for i, c in enumerate(rest):
+            if all(logic.is_orthogonal(x, c) for x in prefix):
+                family = prefix + (c,)
+                if len(family) >= 2:
+                    yield family
+                yield from families(family, rest[i + 1:])
+
+    for family in families((), members):
+        j = reduce(logic.join, family)
+        if j not in members:
+            continue
+        for b in logic.names:
+            if table[b, j] != sum(table[a, j] * table[b, a] for a in family):
+                return family, b
+    return None
+
+
+@pytest.mark.parametrize("logic", [gen_boolean(3), horizontal_sum([3, 3])],
+                         ids=["boolean-3", "hs-3-3"])
+@settings(deadline=None, max_examples=30)
+@given(seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+       data=st.data())
+def test_pair_checks_cover_orthogonal_families(logic, seeds, data):
+    # these lattices have orthogonal families of three or more members;
+    # columns of another conditional state keep C1 and C2, so only the
+    # decomposition law can fail
+    base, other = (conditional_from_smap(random_smap(logic, s)) for s in seeds)
+    members = base.cs.sorted_members()
+    swapped = data.draw(st.lists(st.sampled_from(members), min_size=1,
+                                 max_size=3, unique=True))
+    table = dict(base.values)
+    for a in swapped:
+        for b in logic.names:
+            table[b, a] = other(b, a)
+    try:
+        validate_conditional_state(logic, base.cs, table)
+    except C3Violation as exc:
+        a, c = exc.family
+        j = logic.join(a, c)
+        assert logic.is_orthogonal(a, c) and j in base.cs
+        assert exc.lhs == table[exc.b, j]
+        assert exc.rhs == table[a, j] * table[exc.b, a] + table[c, j] * table[exc.b, c]
+        assert exc.lhs != exc.rhs
+    else:
+        assert _family_law_failure(logic, members, table) is None
 
 
 def test_entry_outside_cs(mo2, example21):
