@@ -42,6 +42,14 @@ from .smaps import conditional_from_smap, smap_from_conditional
 FAMILIES = {"boolean": gen_boolean, "mo": gen_mo}
 
 
+def positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -303,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "brute-force compatibility oracle")
     p.add_argument("family", choices=sorted(FAMILIES))
     p.add_argument("n", type=int)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_check)
 

@@ -41,7 +41,8 @@ class QuantumLogic:
     structurally (same names, order and complementation).
     """
 
-    __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join")
+    __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
+                 "_orth_pairs")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -50,6 +51,12 @@ class QuantumLogic:
         self._comp = comp  # tuple of int
         self._meet = meet  # tuple of tuples of int
         self._join = join
+        #: orthogonal pairs (i, j, join[i][j]) with i <= j, in index order;
+        #: the validators walk these instead of testing every pair by name
+        self._orth_pairs = tuple(
+            (i, j, join[i][j])
+            for i in range(len(self.names)) for j in range(i, len(self.names))
+            if leq[i][comp[j]])
 
     # -- basic access -------------------------------------------------------
 

@@ -43,7 +43,7 @@ from fractions import Fraction
 from .errors import DuplicateSection, ParseError, UnknownElement
 from .lattice import ONE, ZERO, QuantumLogic, build_logic
 from .observables import DiscreteObservable, build_observable
-from .rational import fmt
+from .rational import check_literal, fmt
 from .smaps import SMap, validate_smap
 from .states import (
     ConditionalState,
@@ -96,7 +96,11 @@ class ModelFile:
 
 def _number(token: str, line: int) -> Fraction:
     try:
-        return Fraction(token)
+        text = check_literal(token)
+    except ValueError as exc:
+        raise ParseError(line, f"bad number: {exc}") from None
+    try:
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(line, f"bad number {token!r}") from None
 

@@ -10,8 +10,10 @@ what makes direction-dependent correlation possible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DegenerateDiagonal,
@@ -61,39 +63,48 @@ class SMap:
 
 def validate_smap(logic: QuantumLogic, values) -> SMap:
     """Check normalization, vanishing on orthogonal pairs, and additivity
-    in both arguments.  Witnesses are reported in element-index order."""
+    in both arguments.  Witnesses are reported in element-index order.
+
+    The additivity checks run on integer numerators over the table's
+    common denominator; witnesses are rebuilt as exact Fractions.
+    """
     table = {}
     for (a, b), v in values.items():
         logic.index(a)
         logic.index(b)
         table[a, b] = frac(v)
     names = logic.names
-    for a in names:
-        for b in names:
-            if (a, b) not in table:
-                raise MissingTableEntry("s-map", (a, b))
-            if not 0 <= table[a, b] <= 1:
-                raise ValueOutOfRange("s-map", (a, b), table[a, b])
+    n = len(names)
+    flat = [table.get((a, b)) for a in names for b in names]  # row-major
+    for cell, v in enumerate(flat):
+        if v is None:
+            raise MissingTableEntry("s-map", (names[cell // n], names[cell % n]))
+        if not 0 <= v.numerator <= v.denominator:
+            raise ValueOutOfRange("s-map", (names[cell // n], names[cell % n]), v)
     if table[ONE, ONE] != 1:
         raise S1Violation(table[ONE, ONE])
-    for a in names:
-        for b in names:
-            if logic.is_orthogonal(a, b) and table[a, b] != 0:
-                raise S2Violation(a, b, table[a, b])
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if not logic.is_orthogonal(a, b):
-                continue
-            ab = logic.join(a, b)
-            for c in names:
-                lhs = table[ab, c]
-                rhs = table[a, c] + table[b, c]
-                if lhs != rhs:
-                    raise S3Violation("left", a, b, c, lhs, rhs)
-                lhs = table[c, ab]
-                rhs = table[c, a] + table[c, b]
-                if lhs != rhs:
-                    raise S3Violation("right", a, b, c, lhs, rhs)
+    pairs = logic._orth_pairs
+    nonzero = [(r, c) for i, j, _ in pairs for r, c in ((i, j), (j, i))
+               if flat[r * n + c]]
+    if nonzero:
+        r, c = min(nonzero)
+        raise S2Violation(names[r], names[c], flat[r * n + c])
+    den = math.lcm(*(v.denominator for v in flat))
+    num = [v.numerator * (den // v.denominator) for v in flat]
+    rows = [num[r * n:(r + 1) * n] for r in range(n)]
+    cols = [num[c::n] for c in range(n)]
+    for i, j, k in pairs:
+        if (rows[k] == list(map(add, rows[i], rows[j]))
+                and cols[k] == list(map(add, cols[i], cols[j]))):
+            continue
+        a, b = names[i], names[j]
+        for c in range(n):  # first failure: left before right at each c
+            if rows[k][c] != rows[i][c] + rows[j][c]:
+                raise S3Violation("left", a, b, names[c], flat[k * n + c],
+                                  flat[i * n + c] + flat[j * n + c])
+            if cols[k][c] != cols[i][c] + cols[j][c]:
+                raise S3Violation("right", a, b, names[c], flat[c * n + k],
+                                  flat[c * n + i] + flat[c * n + j])
     return SMap(logic, table)
 
 

@@ -12,6 +12,7 @@ equality, so 11/30 stays 11/30.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,24 +63,36 @@ def validate_state(logic: QuantumLogic, values) -> State:
     for a, v in values.items():
         logic.index(a)  # raises UnknownElementError for stray tokens
         table[a] = frac(v)
-    for a in logic.names:
-        if a not in table:
-            raise MissingTableEntry("state", a)
-        if not 0 <= table[a] <= 1:
-            raise ValueOutOfRange("state", a, table[a])
-    if table[ZERO] != 0:
-        raise BoundsViolation(ZERO, table[ZERO], 0)
-    if table[ONE] != 1:
-        raise BoundsViolation(ONE, table[ONE], 1)
-    names = logic.names
-    for i, a in enumerate(names):
-        for b in names[i:]:
-            if logic.is_orthogonal(a, b):
-                lhs = table[logic.join(a, b)]
-                rhs = table[a] + table[b]
-                if lhs != rhs:
-                    raise AdditivityViolation(a, b, lhs, rhs)
+    _check_state_column(logic, [table.get(a) for a in logic.names])
     return State(logic, table)
+
+
+def _check_state_column(logic: QuantumLogic, column):
+    """Check the state axioms on `column`, a list of Fractions indexed like
+    `logic.names` with None for a missing entry.
+
+    Witnesses come out in the order of a name-by-name scan: entries, then
+    the bounds, then orthogonal pairs in index order.  Additivity is tested
+    on integer numerators over the column's common denominator; those
+    numerators and the denominator are returned for further identities.
+    """
+    names = logic.names
+    for a, v in zip(names, column):
+        if v is None:
+            raise MissingTableEntry("state", a)
+        if not 0 <= v.numerator <= v.denominator:
+            raise ValueOutOfRange("state", a, v)
+    for bound, expected in ((ZERO, 0), (ONE, 1)):
+        v = column[logic.index(bound)]
+        if v != expected:
+            raise BoundsViolation(bound, v, expected)
+    den = math.lcm(*(v.denominator for v in column))
+    num = [v.numerator * (den // v.denominator) for v in column]
+    for i, j, k in logic._orth_pairs:
+        if num[k] != num[i] + num[j]:
+            raise AdditivityViolation(names[i], names[j], column[k],
+                                      column[i] + column[j])
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +214,8 @@ def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalSt
     every finite orthogonal family: the system is join-closed, so by
     induction the pair law at a1 v ... v a(k-1) and ak, together with
     f(ai | ak) = 0 for orthogonal members, gives the law for a1, ..., ak.
+    The identities are tested on integer numerators over each column's
+    common denominator; witnesses are rebuilt as exact Fractions.
     """
     if not isinstance(cs, ConditionalSystem):
         cs = validate_conditional_system(logic, cs)
@@ -213,27 +228,29 @@ def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalSt
                 f"entry ({b} | {a}) conditions outside the conditional system")
         table[b, a] = frac(v)
 
+    names = logic.names
+    checked = {}  # member index -> (column, integer numerators, denominator)
     for a in members:
+        column = [table.get((b, a)) for b in names]
         try:
-            validate_state(logic, {b: table[b, a] for b in logic.names
-                                   if (b, a) in table})
+            checked[logic.index(a)] = (column, *_check_state_column(logic, column))
         except ValidationError as exc:
             raise C1Violation(a, exc) from None
     for a in members:
         if table[a, a] != 1:
             raise C2Violation(a, table[a, a])
-    for i, a in enumerate(members):
-        for c in members[i + 1:]:
-            if not logic.is_orthogonal(a, c):
-                continue
-            j = logic.join(a, c)
-            if j not in cs:
-                continue
-            for b in logic.names:
-                lhs = table[b, j]
-                rhs = table[a, j] * table[b, a] + table[c, j] * table[b, c]
-                if lhs != rhs:
-                    raise C3Violation((a, c), b, lhs, rhs)
+    # with N_m, d_m the numerators and denominator of column m, the pair law
+    # at j = a v c is N_j[b] d_a d_c = N_j[a] d_c N_a[b] + N_j[c] d_a N_c[b]
+    for i, k, j in logic._orth_pairs:
+        if i not in checked or k not in checked or j not in checked:
+            continue
+        (col_a, num_a, d_a), (col_c, num_c, d_c) = checked[i], checked[k]
+        col_j, num_j, _ = checked[j]
+        x, y, z = num_j[i] * d_c, num_j[k] * d_a, d_a * d_c
+        for b, (nb_j, nb_a, nb_c) in enumerate(zip(num_j, num_a, num_c)):
+            if nb_j * z != x * nb_a + y * nb_c:
+                raise C3Violation((names[i], names[k]), names[b], col_j[b],
+                                  col_j[i] * col_a[b] + col_j[k] * col_c[b])
     return ConditionalState(logic, cs, table)
 
 

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from qlogic import gen_boolean, gen_mo, horizontal_sum
+from qlogic import build_logic, gen_boolean, gen_mo, horizontal_sum
 from qlogic.modelfile import parse_model_text, realize_model
 from qlogic.repro import fixture_text
 
@@ -29,6 +29,22 @@ def sampled_lattices():
     shapes.update({f"boolean-{n}": gen_boolean(n) for n in (2, 3, 4)})
     shapes["hs-3-4"] = horizontal_sum([3, 4])
     return shapes
+
+
+@pytest.fixture(scope="session")
+def pasting12():
+    """Two 8-element Boolean blocks, atoms {x, a1, a2} and {x, b1, b2},
+    pasted along {0, x, x', 1}: a 12-element orthomodular lattice that is
+    not a horizontal sum, so `infer_blocks` rejects it."""
+    elements = ["0", "1", "x", "x'"]
+    order, complements = [], [("x", "x'")]
+    for s in "ab":
+        s1, s2 = f"{s}1", f"{s}2"
+        elements += [s1, s2, f"{s1}'", f"{s2}'"]
+        order += [(s1, "x'"), (s2, "x'"), ("x", f"{s1}'"), (s2, f"{s1}'"),
+                  ("x", f"{s2}'"), (s1, f"{s2}'")]
+        complements += [(s1, f"{s1}'"), (s2, f"{s2}'")]
+    return build_logic(elements, order, complements)
 
 
 @pytest.fixture(scope="session")

@@ -57,6 +57,18 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("literal", ["1e-20000", "1e+1000000", "0." + "1" * 300],
+                         ids=["small-exponent", "large-exponent", "long"])
+def test_validate_oversized_literal_exits_2(tmp_path, capsys, literal):
+    bad = tmp_path / "huge.qlm"
+    bad.write_text("[logic]\nelements 0 1 a a' b b'\ncomplement a a'\n"
+                   "complement b b'\n[state m]\nb = 1/2\nb' = 1/2\n"
+                   f"a = {literal}\na' = 3/5\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "line 8: bad number: rational literal" in err
+
+
 def test_validate_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "absent.qlm")]) == 2
 
@@ -204,6 +216,14 @@ def test_check_passes(capsys):
 
 def test_check_boolean(capsys):
     assert main(["check", "boolean", "2", "--trials", "5"]) == 0
+
+
+@pytest.mark.parametrize("trials", ["-3", "0"])
+def test_check_needs_a_positive_trial_count(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "mo", "2", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
 # -- repro --------------------------------------------------------------------

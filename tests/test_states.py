@@ -53,6 +53,11 @@ def test_floats_are_rejected(mo2):
         validate_state(mo2, dict(MO2_DIAGONAL, a=0.4))
 
 
+def test_bools_are_rejected(mo2):
+    with pytest.raises(TypeError):
+        validate_state(mo2, dict(MO2_DIAGONAL, **{"1": True}))
+
+
 def test_state_missing_entry(mo2):
     values = dict(MO2_DIAGONAL)
     del values["b'"]
