@@ -190,17 +190,9 @@ def _random_block_masses(rng: random.Random, k: int) -> list[Fraction]:
 
 def random_state(logic: QuantumLogic, seed: int) -> State:
     """Seeded random state on a horizontal-sum (or Boolean) lattice, with
-    strictly positive mass on every atom."""
-    blocks = infer_blocks(logic)
-    below = _atoms_below(logic, blocks)
-    rng = random.Random(seed)
-    mass = {}
-    for block in blocks:
-        for atom, m in zip(block, _random_block_masses(rng, len(block))):
-            mass[atom] = m
-    values = {e: sum((mass[a] for a in below[e]), Fraction(0))
-              for e in logic.names}
-    return State(logic, values)
+    strictly positive mass on every atom: the diagonal of
+    :func:`random_smap` for the same seed."""
+    return random_smap(logic, seed).diagonal_state()
 
 
 def random_smap(logic: QuantumLogic, seed: int) -> SMap:

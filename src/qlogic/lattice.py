@@ -88,10 +88,6 @@ class QuantumLogic:
             raise UnknownElementError(name) from None
 
     @property
-    def elements(self) -> tuple[str, ...]:
-        return self.names
-
-    @property
     def nonzero_elements(self) -> tuple[str, ...]:
         return tuple(n for n in self.names if n != ZERO)
 
@@ -185,22 +181,20 @@ def _closure(n: int, pairs: set[tuple[int, int]]):
 
 
 def _bound_table(names, leq, kind: str):
-    """Total meet or join table; raises if some pair has no bound."""
+    """Total meet table of the order `leq` (pass the transposed order for
+    joins); raises if some pair has no bound.
+
+    The meet of i and j is the element whose down-set equals their common
+    lower bounds, so each entry is one bitmask intersection and lookup;
+    down-sets are distinct because cycles are rejected before this runs.
+    """
     n = len(names)
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if kind == "meet":
-                candidates = [k for k in range(n) if leq[k][i] and leq[k][j]]
-                best = [g for g in candidates
-                        if all(leq[c][g] for c in candidates)]
-            else:
-                candidates = [k for k in range(n) if leq[i][k] and leq[j][k]]
-                best = [g for g in candidates
-                        if all(leq[g][c] for c in candidates)]
-            if not best:
-                raise MissingMeetOrJoin(kind, names[i], names[j])
-            table[i][j] = best[0]
+    down = [sum(1 << c for c in range(n) if leq[c][k]) for k in range(n)]
+    owner = {mask: k for k, mask in enumerate(down)}
+    table = [[owner.get(down[i] & down[j]) for j in range(n)] for i in range(n)]
+    for i, row in enumerate(table):
+        if None in row:
+            raise MissingMeetOrJoin(kind, names[i], names[row.index(None)])
     return table
 
 
@@ -256,7 +250,7 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
                 raise CycleInOrder(names[i], names[j])
 
     meet = _bound_table(names, leq, "meet")
-    join = _bound_table(names, leq, "join")
+    join = _bound_table(names, list(zip(*leq)), "join")
 
     comp = [None] * n
     declared = list(complements) + [(ZERO, ONE)]

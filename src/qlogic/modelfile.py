@@ -105,7 +105,7 @@ def _number(token: str, line: int) -> Fraction:
         raise ParseError(line, f"bad number {token!r}") from None
 
 
-def _split_sections(text: str, source: str):
+def _split_sections(text: str):
     """Group numbered lines under their section headers."""
     header = None
     body = []
@@ -132,10 +132,11 @@ def _split_sections(text: str, source: str):
 
 def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
     parsed = ParsedModel(source)
-    groups = _split_sections(text, source)
+    groups = _split_sections(text)
 
     logic_group = None
     seen = set()
+    bodies = []  # (kind, name, body lines) in file order
     for (lineno, words), body in groups:
         if not words:
             raise ParseError(lineno, "empty section header")
@@ -153,7 +154,7 @@ def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
             if (kind, name) in seen:
                 raise DuplicateSection(lineno, f"{kind} {name}")
             seen.add((kind, name))
-            parsed.sections.append((kind, name, body))
+            bodies.append((kind, name, body))
         else:
             raise ParseError(lineno, f"unknown section kind {kind!r}")
     if logic_group is None:
@@ -167,8 +168,7 @@ def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
             raise UnknownElement(lineno, token)
         return token
 
-    sections = []
-    for kind, name, body in parsed.sections:
+    for kind, name, body in bodies:
         table = {}
         for lineno, content in body:
             if kind == "observable":
@@ -200,8 +200,7 @@ def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
                 raise ParseError(lineno, f"duplicate entry for {key}")
             table[key] = entry
         getattr(parsed, kind_attr(kind))[name] = table
-        sections.append((kind, name))
-    parsed.sections = sections
+        parsed.sections.append((kind, name))
     return parsed
 
 

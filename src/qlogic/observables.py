@@ -159,12 +159,15 @@ def variance(p: SMap, x: DiscreteObservable) -> Fraction:
 def correlation(p: SMap, x: DiscreteObservable,
                 y: DiscreteObservable) -> float:
     """Floating-point correlation coefficient, in [-1, 1] within 1e-9."""
-    vx, vy = variance(p, x), variance(p, y)
+    return _coefficient(covariance(p, x, y), variance(p, x), variance(p, y))
+
+
+def _coefficient(cov: Fraction, vx: Fraction, vy: Fraction) -> float:
     if vx == 0:
         raise DegenerateVariance("x")
     if vy == 0:
         raise DegenerateVariance("y")
-    r = float(covariance(p, x, y)) / math.sqrt(float(vx * vy))
+    r = float(cov) / math.sqrt(float(vx * vy))
     return max(-1.0, min(1.0, r))
 
 
@@ -242,11 +245,11 @@ def classical_representation(p: SMap, x: DiscreteObservable,
     nu_x, nu_y = expectation(nu, x), expectation(nu, y)
     assert mean_x_1 == mean_x_2 == nu_x
     assert mean_y_1 == mean_y_2 == nu_y
-    assert cov_1 == covariance(p, x, y)
-    assert cov_2 == covariance(p, y, x)
-    vx, vy = variance(p, x), variance(p, y)
-    assert cov_1 * cov_1 <= vx * vy
-    assert cov_2 * cov_2 <= vx * vy
+    m = covariance_matrix(p, x, y)
+    assert cov_1 == m.xy
+    assert cov_2 == m.yx
+    assert cov_1 * cov_1 <= m.xx * m.yy
+    assert cov_2 * cov_2 <= m.xx * m.yy
 
     return ClassicalRepresentation(outcomes_xy, measure_xy, outcomes_yx,
                                    measure_yx, nu_x, nu_y, cov_1, cov_2)
@@ -283,10 +286,11 @@ class StatsReport:
 def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
                   x_label: str = "x", y_label: str = "y") -> StatsReport:
     nu = p.diagonal_state()
+    m = covariance_matrix(p, x, y)
     notes = []
     try:
-        r_xy: float | None = correlation(p, x, y)
-        r_yx: float | None = correlation(p, y, x)
+        r_xy: float | None = _coefficient(m.xy, m.xx, m.yy)
+        r_yx: float | None = _coefficient(m.yx, m.yy, m.xx)
     except DegenerateVariance as exc:
         r_xy = r_yx = None
         notes.append(f"correlation omitted: {exc}")
@@ -300,13 +304,13 @@ def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
         nu_y=expectation(nu, y),
         moment_xy=first_joint_moment(p, x, y),
         moment_yx=first_joint_moment(p, y, x),
-        cov_xy=covariance(p, x, y),
-        cov_yx=covariance(p, y, x),
-        var_x=variance(p, x),
-        var_y=variance(p, y),
+        cov_xy=m.xy,
+        cov_yx=m.yx,
+        var_x=m.xx,
+        var_y=m.yy,
         r_xy=r_xy,
         r_yx=r_yx,
-        matrix=covariance_matrix(p, x, y),
+        matrix=m,
         compatible=x.is_compatible_with(y),
         joint_xy=joint_distribution(p, x, y),
         joint_yx=joint_distribution(p, y, x),

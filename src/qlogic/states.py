@@ -118,25 +118,39 @@ class ConditionalSystem:
         return f"ConditionalSystem({{{', '.join(self.sorted_members())}}})"
 
 
-def validate_conditional_system(logic: QuantumLogic, members) -> ConditionalSystem:
-    members = frozenset(members)
+def _check_seed(logic: QuantumLogic, members) -> None:
     for a in members:
         logic.index(a)
     if ZERO in members:
         raise ZeroInSeed()
-    ordered = sorted(members, key=logic.index)
-    for a in ordered:
-        for b in ordered:
-            j = logic.join(a, b)
-            if j not in members:
-                raise InvalidConditionalSystem(
-                    f"not closed under join: {a} v {b} = {j} is missing")
-            if logic.lt(a, b):
-                rc = logic.meet(logic.complement(a), b)
-                if rc not in members:
-                    raise InvalidConditionalSystem(
-                        f"not closed under relative complement: "
-                        f"{a} < {b} but {a}' ^ {b} = {rc} is missing")
+
+
+def _closure_gaps(logic: QuantumLogic, members):
+    """Yield (missing element, reason) for each join and each relative
+    complement of comparable members that is not a member, scanning the
+    ordered pairs of members in index order."""
+    names, leq, comp = logic.names, logic._leq, logic._comp
+    meet, join = logic._meet, logic._join
+    inside = {logic.index(a) for a in members}
+    ordered = sorted(inside)
+    for i in ordered:
+        for k in ordered:
+            a, b = names[i], names[k]
+            j = join[i][k]
+            if j not in inside:
+                yield names[j], (f"not closed under join: {a} v {b} = "
+                                 f"{names[j]} is missing")
+            if i != k and leq[i][k] and meet[comp[i]][k] not in inside:
+                rc = names[meet[comp[i]][k]]
+                yield rc, (f"not closed under relative complement: "
+                           f"{a} < {b} but {a}' ^ {b} = {rc} is missing")
+
+
+def validate_conditional_system(logic: QuantumLogic, members) -> ConditionalSystem:
+    members = frozenset(members)
+    _check_seed(logic, members)
+    for _, reason in _closure_gaps(logic, members):
+        raise InvalidConditionalSystem(reason)
     return ConditionalSystem(logic, members)
 
 
@@ -147,25 +161,9 @@ def conditional_system_generated(logic: QuantumLogic, seed) -> ConditionalSystem
     orthomodular law forbids it), so 0 cannot sneak in during closure.
     """
     members = set(seed)
-    for a in members:
-        logic.index(a)
-    if ZERO in members:
-        raise ZeroInSeed()
-    changed = True
-    while changed:
-        changed = False
-        current = sorted(members, key=logic.index)
-        for a in current:
-            for b in current:
-                j = logic.join(a, b)
-                if j not in members:
-                    members.add(j)
-                    changed = True
-                if logic.lt(a, b):
-                    rc = logic.meet(logic.complement(a), b)
-                    if rc not in members:
-                        members.add(rc)
-                        changed = True
+    _check_seed(logic, members)
+    while gaps := {missing for missing, _ in _closure_gaps(logic, members)}:
+        members |= gaps
     return ConditionalSystem(logic, frozenset(members))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from types import ModuleType
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import build_logic, gen_boolean, gen_mo
+from qlogic import build_logic, gen_boolean, gen_mo, horizontal_sum
+from qlogic import lattice
 from qlogic.errors import (
     AxiomViolation,
     BadElementName,
@@ -205,3 +207,95 @@ def test_atoms_of_boolean(boolean3):
     for r in (2,):
         for s, t in combinations(boolean3.atoms(), r):
             assert boolean3.is_orthogonal(s, t)
+
+
+# -- bound tables against a brute-force reference -----------------------------
+
+
+def _reference_bound_tables(names, leq):
+    """Meet and join tables by brute force over every common bound, built in
+    the order `build_logic` needs them: the whole meet table, then the
+    join table.  Returns (meet, join), or (kind, a, b) of the first pair
+    without a bound."""
+    n = len(names)
+    tables = []
+    for kind, below in (("meet", lambda c, g: leq[c][g]),
+                        ("join", lambda c, g: leq[g][c])):
+        table = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                common = [c for c in range(n) if below(c, i) and below(c, j)]
+                best = [g for g in common if all(below(c, g) for c in common)]
+                if not best:
+                    return kind, names[i], names[j]
+                table[i][j] = best[0]
+        tables.append(table)
+    return tuple(tables)
+
+
+def _library_bound_tables(names, leq):
+    try:
+        return (lattice._bound_table(names, leq, "meet"),
+                lattice._bound_table(names, [list(c) for c in zip(*leq)], "join"))
+    except MissingMeetOrJoin as exc:
+        return exc.kind, exc.a, exc.b
+
+
+def _random_order(rng, names, bounds):
+    """A generating order on `names`: random edges along a random linear
+    extension (so no cycles).  With `bounds` of 1 the first element of that
+    extension is a least element, with 2 the last is also a greatest."""
+    n = len(names)
+    line = rng.sample(range(n), n)
+    density = rng.choice((0.15, 0.3, 0.5))
+    pairs = {(line[x], line[y]) for x in range(n) for y in range(x + 1, n)
+             if rng.random() < density}
+    if bounds >= 1:
+        pairs |= {(line[0], k) for k in range(n)}
+    if bounds == 2:
+        pairs |= {(k, line[-1]) for k in range(n)}
+    return lattice._closure(n, pairs)
+
+
+def test_bound_tables_match_reference_on_random_orders():
+    rng = random.Random(20031)
+    outcomes = {"meet": 0, "join": 0, "lattice": 0}
+    for trial in range(400):
+        names = [f"e{k}" for k in range(rng.randint(1, 9))]
+        leq = _random_order(rng, names, bounds=trial % 3)
+        expected = _reference_bound_tables(names, leq)
+        assert _library_bound_tables(names, leq) == expected, (trial, leq)
+        outcomes[expected[0] if isinstance(expected[0], str) else "lattice"] += 1
+    # orders without a least element lack meets, those with one can
+    # still lack joins
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_bound_tables_match_reference_on_stock_lattices(pasting12):
+    for logic in (gen_mo(3), gen_boolean(3), horizontal_sum([3, 4]), pasting12):
+        meet, join = _reference_bound_tables(logic.names, logic._leq)
+        assert [list(row) for row in logic._meet] == meet
+        assert [list(row) for row in logic._join] == join
+
+
+def test_build_logic_reports_the_first_missing_bound():
+    # build_logic adds 0 and 1; in a bounded finite order a pair without a
+    # join means some pair without a meet, so the meet scan reports first
+    rng = random.Random(7)
+    reported = 0
+    for _ in range(300):
+        names = ["0", "1"] + [f"e{k}" for k in range(rng.randint(4, 8))]
+        inner = names[2:]
+        order = [(a, b) for a, b in combinations(rng.sample(inner, len(inner)), 2)
+                 if rng.random() < 0.5]
+        index = {name: i for i, name in enumerate(names)}
+        pairs = {(index[a], index[b]) for a, b in order}
+        pairs |= {(0, k) for k in range(len(names))} | {(k, 1) for k in range(len(names))}
+        expected = _reference_bound_tables(names, lattice._closure(len(names), pairs))
+        if not isinstance(expected[0], str):
+            continue
+        with pytest.raises(MissingMeetOrJoin) as exc:
+            build_logic(names, order)
+        assert (exc.value.kind, exc.value.a, exc.value.b) == expected
+        reported += 1
+    assert reported >= 50

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +17,9 @@ from qlogic import (
     covariance_matrix,
     expectation,
     first_joint_moment,
+    infer_blocks,
     joint_distribution,
+    random_smap,
     variance,
 )
 from qlogic.errors import (
@@ -159,6 +162,47 @@ def test_degenerate_variance(example21):
     assert stats.r_xy is None and stats.r_yx is None
     assert stats.notes and "correlation omitted" in stats.notes[0]
     assert stats.var_x == 0 and stats.cov_xy == 0
+
+
+def test_degenerate_variance_of_y(example21):
+    p = example21.smaps["p"]
+    x = example21.observables["x"]
+    const = x.compose(lambda t: t * t)
+    stats = compute_stats(p, x, const)
+    assert stats.r_xy is stats.r_yx is None
+    assert stats.notes == (
+        "correlation omitted: variance of y is 0; correlation undefined",)
+    assert stats.var_y == 0 and stats.var_x == F(24, 25)
+
+
+def _standalone_correlation(p, x, y):
+    try:
+        return correlation(p, x, y)
+    except DegenerateVariance:
+        return None
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_stats_agree_with_standalone_functions(sampled_lattices, seed):
+    rng = random.Random(seed)
+    for logic in sampled_lattices.values():
+        p = random_smap(logic, seed)
+        blocks = infer_blocks(logic)
+        x, y = (build_observable(logic, zip(rng.sample(range(-5, 6), len(b)), b))
+                for b in (blocks * 2)[:2])
+        for u, v in ((x, y), (y, x), (x, x), (x, x.compose(lambda t: 0))):
+            stats = compute_stats(p, u, v)
+            assert stats.var_x == variance(p, u)
+            assert stats.var_y == variance(p, v)
+            assert stats.cov_xy == covariance(p, u, v)
+            assert stats.cov_yx == covariance(p, v, u)
+            assert stats.r_xy == _standalone_correlation(p, u, v)
+            assert stats.r_yx == (None if stats.r_xy is None
+                                  else _standalone_correlation(p, v, u))
+            assert stats.matrix == covariance_matrix(p, u, v)
+            assert stats.matrix.entries == (
+                (variance(p, u), covariance(p, u, v)),
+                (covariance(p, v, u), variance(p, v)))
 
 
 def test_classical_representation(example21):

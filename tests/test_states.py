@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from functools import reduce
 
@@ -15,6 +16,7 @@ from qlogic import (
     conditional_state_from_partition,
     conditional_system_generated,
     gen_boolean,
+    gen_mo,
     horizontal_sum,
     random_smap,
     validate_conditional_state,
@@ -32,6 +34,8 @@ from qlogic.errors import (
     MissingTableEntry,
     NotOrthogonal,
     PreconditionFailed,
+    QLogicError,
+    UnknownElementError,
     ValidationError,
     ValueOutOfRange,
     WeightsInvalid,
@@ -107,6 +111,92 @@ def test_cs_missing_join(mo2):
     with pytest.raises(InvalidConditionalSystem) as exc:
         validate_conditional_system(mo2, {"a", "b", "a'", "b'"})
     assert "join" in str(exc.value)
+
+
+def _reference_validate_cs(logic, members):
+    """Two-loop conditional-system check on element names: the first
+    missing join or relative complement over ordered pairs of members in
+    index order."""
+    members = frozenset(members)
+    for a in members:
+        logic.index(a)
+    if "0" in members:
+        raise ZeroInSeed()
+    ordered = sorted(members, key=logic.index)
+    for a in ordered:
+        for b in ordered:
+            j = logic.join(a, b)
+            if j not in members:
+                raise InvalidConditionalSystem(
+                    f"not closed under join: {a} v {b} = {j} is missing")
+            if logic.lt(a, b):
+                rc = logic.meet(logic.complement(a), b)
+                if rc not in members:
+                    raise InvalidConditionalSystem(
+                        f"not closed under relative complement: "
+                        f"{a} < {b} but {a}' ^ {b} = {rc} is missing")
+    return members
+
+
+def _reference_generated_cs(logic, seed):
+    """Fixed-point closure on element names: passes over ordered pairs of
+    members that add each missing join and relative complement, until a
+    pass adds nothing."""
+    members = set(seed)
+    for a in members:
+        logic.index(a)
+    if "0" in members:
+        raise ZeroInSeed()
+    changed = True
+    while changed:
+        changed = False
+        current = sorted(members, key=logic.index)
+        for a in current:
+            for b in current:
+                j = logic.join(a, b)
+                if j not in members:
+                    members.add(j)
+                    changed = True
+                if logic.lt(a, b):
+                    rc = logic.meet(logic.complement(a), b)
+                    if rc not in members:
+                        members.add(rc)
+                        changed = True
+    return frozenset(members)
+
+
+def _outcome(check, logic, members):
+    """Members of the accepted system, or the error class and message."""
+    try:
+        result = check(logic, members)
+    except QLogicError as exc:
+        return type(exc), str(exc)
+    return getattr(result, "members", result)
+
+
+def test_cs_closure_matches_reference(pasting12):
+    lattices = [gen_mo(n) for n in (2, 3, 4)] + [gen_boolean(n) for n in (3, 4)]
+    lattices += [horizontal_sum([3, 3]), horizontal_sum([3, 4]), pasting12]
+    rng = random.Random(2003)
+    rejected = set()
+    for logic in lattices:
+        for _ in range(60):
+            members = rng.sample(logic.names, rng.randint(1, min(7, len(logic))))
+            if rng.random() < 0.1:
+                members.append("zz")
+            expected = _outcome(_reference_validate_cs, logic, members)
+            assert _outcome(validate_conditional_system, logic, members) == expected
+            if isinstance(expected, tuple):  # closure failures by reason
+                rejected.add(expected[1].split(":")[0]
+                             if expected[0] is InvalidConditionalSystem
+                             else expected[0])
+            closed = _outcome(_reference_generated_cs, logic, members)
+            assert _outcome(conditional_system_generated, logic, members) == closed
+            if isinstance(closed, frozenset):
+                assert _outcome(validate_conditional_system, logic, closed) == closed
+    assert rejected == {"not closed under join",
+                        "not closed under relative complement",
+                        ZeroInSeed, UnknownElementError}
 
 
 # -- conditional states -------------------------------------------------------
