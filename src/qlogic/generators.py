@@ -23,13 +23,14 @@ from itertools import combinations
 from .errors import SizeOutOfRange, UnsupportedLattice
 from .lattice import ONE, ZERO, QuantumLogic, build_logic
 from .observables import (
+    _centered,
+    _checked,
+    _classical,
+    _coefficient,
+    _PairStats,
     build_observable,
-    classical_representation,
-    correlation,
-    covariance,
-    expectation,
-    first_joint_moment,
 )
+from .rational import common_denominator
 from .smaps import SMap, conditional_from_smap, smap_from_conditional, validate_smap
 from .states import State, validate_conditional_state
 
@@ -255,54 +256,92 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
 BRUTE_FORCE_MAX = 24
 
 
-def brute_force_compatible(logic: QuantumLogic, a: str, b: str) -> bool:
-    """Decide compatibility straight from the definition: search every
-    triple of mutually orthogonal elements recombining to a and b."""
+def _witness_groups(logic: QuantumLogic) -> list:
+    """The witness search space: for each element c, by index, the elements
+    x orthogonal to c grouped by the index of x v c."""
     if len(logic) > BRUTE_FORCE_MAX:
         raise SizeOutOfRange(
             f"witness search is cubic; {len(logic)} elements exceeds "
             f"{BRUTE_FORCE_MAX}")
-    for a1 in logic.names:
-        for b1 in logic.names:
-            if not logic.is_orthogonal(a1, b1):
-                continue
-            for c in logic.names:
-                if (logic.is_orthogonal(a1, c) and logic.is_orthogonal(b1, c)
-                        and logic.join(a1, c) == a and logic.join(b1, c) == b):
-                    return True
-    return False
+    leq, comp, join = logic._leq, logic._comp, logic._join
+    groups = []
+    for c in range(len(logic)):
+        by_join = {}
+        for x in range(len(logic)):
+            if leq[x][comp[c]]:
+                by_join.setdefault(join[x][c], []).append(x)
+        groups.append(by_join)
+    return groups
+
+
+def _has_witness(logic: QuantumLogic, groups, a, b) -> bool:
+    """Some c has x and y orthogonal to c and to each other, with x v c
+    equal to a and y v c equal to b (all by index)."""
+    leq, comp = logic._leq, logic._comp
+    return any(leq[x][comp[y]] for by_join in groups
+               for x in by_join.get(a, ()) for y in by_join.get(b, ()))
+
+
+def brute_force_compatible(logic: QuantumLogic, a: str, b: str) -> bool:
+    """Decide compatibility straight from the definition: search every
+    triple of mutually orthogonal elements recombining to a and b."""
+    index = logic._index
+    return _has_witness(logic, _witness_groups(logic), index.get(a),
+                        index.get(b))
 
 
 def oracle_scan(logic: QuantumLogic) -> str | None:
     """Compare the table identity against the witness search on every pair;
     returns a description of the first disagreement, or None."""
-    for a in logic.names:
-        for b in logic.names:
+    groups = _witness_groups(logic)
+    for i, a in enumerate(logic.names):
+        for j, b in enumerate(logic.names):
             fast = logic.is_compatible(a, b)
-            slow = brute_force_compatible(logic, a, b)
+            slow = _has_witness(logic, groups, i, j)
             if fast != slow:
                 return (f"compatibility mismatch at ({a}, {b}): "
                         f"identity says {fast}, witness search says {slow}")
     return None
 
 
+def _compatibility(logic: QuantumLogic) -> list:
+    """`is_compatible` as an index table, one row per element."""
+    names = logic.names
+    return [[logic.is_compatible(a, b) for b in names] for a in names]
+
+
+def _join_all(logic: QuantumLogic, indices) -> int:
+    join = logic._join
+    out = logic.index(ZERO)
+    for k in indices:
+        out = join[out][k]
+    return out
+
+
 def distributivity_scan(logic: QuantumLogic, family_sizes=(2, 3)) -> str | None:
     """Check b ^ (v a_i) = v (a_i ^ b) for families of elements all
     compatible with b, exhaustively for the given family sizes."""
+    names, meet = logic.names, logic._meet
+    compatible = _compatibility(logic)
+    # bit a of masks[b] is set when b is compatible with a
+    masks = [sum(1 << a for a, ok in enumerate(row) if ok) for row in compatible]
     for r in family_sizes:
-        for family in combinations(logic.names, r):
-            joined = logic.join_all(family)
-            for b in logic.names:
-                if not all(logic.is_compatible(b, a) for a in family):
+        for family in combinations(range(len(names)), r):
+            bits = sum(1 << a for a in family)
+            joined = _join_all(logic, family)
+            for b, row in enumerate(compatible):
+                if bits & ~masks[b]:
                     continue
-                if not logic.is_compatible(b, joined):
+                members = tuple(names[a] for a in family)
+                if not row[joined]:
                     return (f"compatibility does not propagate to the join: "
-                            f"b={b}, family={family}")
-                lhs = logic.meet(b, joined)
-                rhs = logic.join_all(logic.meet(a, b) for a in family)
+                            f"b={names[b]}, family={members}")
+                lhs = meet[b][joined]
+                rhs = _join_all(logic, [meet[a][b] for a in family])
                 if lhs != rhs:
                     return (f"distributivity over compatible joins fails: "
-                            f"b={b}, family={family}: {lhs} != {rhs}")
+                            f"b={names[b]}, family={members}: "
+                            f"{names[lhs]} != {names[rhs]}")
     return None
 
 
@@ -322,32 +361,55 @@ class SuiteReport:
         return self.failed == 0
 
 
+def _smap_rows(p: SMap):
+    """p(a, b) as integer rows over a common denominator, row-major and
+    indexed like `logic.names`, and that denominator."""
+    names, values = p.logic.names, p.values
+    return common_denominator([[values[a, b] for b in names] for a in names])
+
+
+def _conditional_columns(f):
+    """f(b | a) as integer columns over a common denominator, one per
+    member a keyed by its index and indexed by b like `logic.names`, and
+    that denominator."""
+    logic, values = f.logic, f.values
+    members = f.cs.sorted_members()
+    columns, den = common_denominator([[values[b, a] for b in logic.names]
+                                       for a in members])
+    return dict(zip(map(logic.index, members), columns)), den
+
+
 def smap_law_scan(p: SMap) -> str | None:
     """The derived s-map laws, checked exhaustively on one s-map."""
     logic = p.logic
-    nu = p.diagonal_state()
-    for a in logic.names:
-        for b in logic.names:
-            if logic.is_orthogonal(a, b) and p(a, b) != 0:
+    names, leq, comp, meet = logic.names, logic._leq, logic._comp, logic._meet
+    rows, _ = _smap_rows(p)
+    compatible = _compatibility(logic)
+    for i, a in enumerate(names):
+        row = rows[i]
+        for j, b in enumerate(names):
+            v = row[j]
+            if leq[i][comp[j]] and v != 0:
                 return f"orthogonal pair ({a}, {b}) with nonzero value"
-            if logic.is_compatible(a, b):
-                m = logic.meet(a, b)
-                if not p(a, b) == p(m, m) == p(b, a):
+            if compatible[i][j]:
+                k = meet[i][j]
+                if not v == rows[k][k] == rows[j][i]:
                     return f"compatible pair ({a}, {b}) breaks the meet identity"
-            if logic.leq(a, b):
-                if p(a, b) != p(a, a):
+            if leq[i][j]:
+                if v != row[i]:
                     return f"p({a}, {b}) != p({a}, {a}) despite {a} <= {b}"
-                for c in logic.names:
-                    if p(a, c) > p(b, c):
-                        return f"monotonicity fails at ({a}, {b}; {c})"
-            if p(a, b) > p(b, b):
+                for c, (u, w) in enumerate(zip(row, rows[j])):
+                    if u > w:
+                        return f"monotonicity fails at ({a}, {b}; {names[c]})"
+            if v > rows[j][j]:
                 return f"p({a}, {b}) exceeds the diagonal at {b}"
     # marginal law: each block's atoms decompose 1
     for block in infer_blocks(logic):
-        for a in logic.names:
-            if sum(p(a, b) for b in block) != nu(a):
+        cols = [logic.index(b) for b in block]
+        for i, a in enumerate(names):
+            if sum(rows[i][c] for c in cols) != rows[i][i]:
                 return f"row marginal over block {block} fails at {a}"
-            if sum(p(b, a) for b in block) != nu(a):
+            if sum(rows[c][i] for c in cols) != rows[i][i]:
                 return f"column marginal over block {block} fails at {a}"
     return None
 
@@ -356,38 +418,56 @@ def independence_law_scan(f) -> str | None:
     """The three equivalences that follow from the independence definition,
     over every admissible triple."""
     logic = f.logic
-    members = f.cs.sorted_members()
-    for a in members:
-        ac = logic.complement(a)
-        for c in members:
-            if f(c, a) != 1:
+    names, comp = logic.names, logic._comp
+    col, one = _conditional_columns(f)
+    compatible = _compatibility(logic)
+    # b is independent of a given c (where f(c | a) = 1) iff
+    # f(b | c) = f(b | a), that is col[c][b] == col[a][b]
+    for a, col_a in col.items():
+        for c, col_c in col.items():
+            if col_a[c] != one:
                 continue
-            for b in logic.names:
-                ind = f.is_independent(b, a, c)
+            col_ac = col.get(comp[a])
+            if col_ac is not None and col_ac[c] != one:
+                col_ac = None
+            for b in range(len(names)):
+                ind = col_c[b] == col_a[b]
                 # (ii) b and its complement agree
-                if f.is_independent(logic.complement(b), a, c) != ind:
-                    return f"(ii) fails at b={b}, a={a}, c={c}"
+                if (col_c[comp[b]] == col_a[comp[b]]) != ind:
+                    return (f"(ii) fails at b={names[b]}, a={names[a]}, "
+                            f"c={names[c]}")
                 # (i) complementary conditioning events agree
-                if ac in f.cs and f(c, ac) == 1:
-                    if f.is_independent(b, ac, c) != ind:
-                        return f"(i) fails at b={b}, a={a}, c={c}"
+                if col_ac is not None and (col_c[b] == col_ac[b]) != ind:
+                    return (f"(i) fails at b={names[b]}, a={names[a]}, "
+                            f"c={names[c]}")
                 # (iii) symmetry for compatible members
-                if (b in f.cs and logic.is_compatible(a, b)
-                        and f(c, b) == 1):
-                    if f.is_independent(a, b, c) != ind:
-                        return f"(iii) fails at b={b}, a={a}, c={c}"
+                col_b = col.get(b)
+                if (col_b is not None and compatible[a][b] and col_b[c] == one
+                        and (col_c[a] == col_b[a]) != ind):
+                    return (f"(iii) fails at b={names[b]}, a={names[a]}, "
+                            f"c={names[c]}")
     return None
 
 
 def product_equivalence_scan(p: SMap, f) -> str | None:
     """Product factorization against the conditional-state definition of
-    independence, conditioned on 1."""
-    for a in f.cs.sorted_members():
-        for b in p.logic.names:
-            lhs = p.is_independent_pair(b, a)
-            rhs = f.is_independent(b, a, ONE)
+    independence, conditioned on 1 (which f must condition on, as every
+    conditional state derived from an s-map does)."""
+    names = p.logic.names
+    rows, den = _smap_rows(p)
+    col, one = _conditional_columns(f)
+    top = p.logic.index(ONE)
+    given_one = col[top]
+    for a, col_a in col.items():
+        if col_a[top] != one:
+            f.is_independent(ONE, names[a], ONE)  # raises PreconditionFailed
+        for b in range(len(names)):
+            # p(b, a) = p(a, a) p(b, b), on numerators over den
+            lhs = rows[b][a] * den == rows[a][a] * rows[b][b]
+            rhs = given_one[b] == col_a[b]
             if lhs != rhs:
-                return f"independence routes disagree at (b={b}, a={a})"
+                return (f"independence routes disagree at "
+                        f"(b={names[b]}, a={names[a]})")
     return None
 
 
@@ -404,26 +484,22 @@ def _derived_observables(logic: QuantumLogic, rng: random.Random):
 
 
 def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
-    """Centered-moment identity, correlation bounds, classical
-    representation, and symmetry under compatibility, on observables
-    derived from the block structure."""
-    logic = p.logic
-    nu = p.diagonal_state()
-    x, y = _derived_observables(logic, rng)
+    """Centered-moment identity, defined correlation, classical
+    representation (Cauchy-Schwarz included), and symmetry under
+    compatibility, on observables derived from the block structure; each
+    ordered pair's cells are read once."""
+    x, y = _derived_observables(p.logic, rng)
     for u, v in ((x, y), (y, x), (x, x)):
-        centered_u = u.compose(lambda t, m=expectation(nu, u): t - m)
-        centered_v = v.compose(lambda t, m=expectation(nu, v): t - m)
-        if covariance(p, u, v) != first_joint_moment(p, centered_u, centered_v):
+        stats = _PairStats(p, u, v)
+        centered = _centered(stats.X, stats.Y, stats.xy, stats.d, stats.sx,
+                             stats.sy)
+        if centered != stats.d * stats.cxy:
             return "centered-moment identity fails"
-        r = correlation(p, u, v)
-        if not -1.0 <= r <= 1.0:
-            return f"correlation {r} escapes [-1, 1]"
-        classical_representation(p, u, v)  # asserts its own equalities
-        if u.is_compatible_with(v):
-            if first_joint_moment(p, u, v) != first_joint_moment(p, v, u):
-                return "compatible observables with asymmetric joint moment"
-            if covariance(p, u, v) != covariance(p, v, u):
-                return "compatible observables with asymmetric covariance"
+        m = _checked(stats.matrix)
+        _coefficient(m.xy, m.xx, m.yy)  # raises DegenerateVariance
+        _classical(stats)  # asserts its own equalities
+        if u.is_compatible_with(v) and stats.mxy != stats.myx:
+            return "compatible observables with asymmetric joint moment"
     return None
 
 

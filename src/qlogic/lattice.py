@@ -7,9 +7,10 @@ tables, and verifies every axiom before handing out an immutable structure.
 All later operations are table lookups, so a built logic can be shared freely
 across threads.
 
-Element handles are their display names (plain tokens).  The tokens "0" and
-"1" are reserved for the bounds and are added to the order automatically:
-authors only write the non-trivial part of the Hasse diagram.
+Element handles are their display names: tokens without whitespace or any
+of the model-file separators (see :func:`is_element_name`).  The tokens "0"
+and "1" are reserved for the bounds and are added to the order
+automatically: authors only write the non-trivial part of the Hasse diagram.
 """
 
 from __future__ import annotations
@@ -31,6 +32,19 @@ ONE = "1"
 
 #: tables are quadratic in the element count; keep inputs desk-scale
 MAX_ELEMENTS = 64
+
+#: besides whitespace, the characters an element name may not contain: they
+#: (and the arrow "->") separate the fields of a model-file line
+NAME_SEPARATORS = ",|=#[]"
+NAME_RULE = ("non-empty tokens without whitespace, ',', '|', '=', '->', "
+             "'#', '[' or ']'")
+
+
+def is_element_name(name) -> bool:
+    """The element-name grammar shared by :func:`build_logic` and the model
+    file parser: see NAME_RULE."""
+    return (isinstance(name, str) and name != "" and "->" not in name
+            and not any(c.isspace() or c in NAME_SEPARATORS for c in name))
 
 
 class QuantumLogic:
@@ -219,8 +233,8 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
     names = tuple(elements)
     seen = set()
     for name in names:
-        if not isinstance(name, str) or not name or any(c.isspace() for c in name):
-            raise BadElementName(f"element names must be non-blank tokens, got {name!r}")
+        if not is_element_name(name):
+            raise BadElementName(f"element names must be {NAME_RULE}, got {name!r}")
         if name in seen:
             raise BadElementName(f"duplicate element name {name!r}")
         seen.add(name)

@@ -22,11 +22,14 @@ conditional states, s-maps, and observables:
     -1 -> a
     1 -> a'
 
-Blank lines and text after `#` are ignored.  Numbers are integers,
-fractions n/d, or decimal literals; all are read exactly.  Parsing checks
-syntax and that every referenced element was declared; whether a section's
-numbers actually form a state, conditional state, or s-map is decided by
-the validators when the section is realized.
+Element names are tokens without whitespace, `,`, `|`, `=`, `->`, `#`, `[`
+or `]`, the characters that separate the fields of a line; the parser and
+`build_logic` both enforce this, so every logic the library accepts can be
+written out and read back.  Blank lines and text after `#` are ignored.
+Numbers are integers, fractions n/d, or decimal literals; all are read
+exactly.  Parsing checks syntax and that every referenced element was
+declared; whether a section's numbers actually form a state, conditional
+state, or s-map is decided by the validators when the section is realized.
 
 Tables may omit entries forced by the axioms: states omit the bounds,
 conditional states omit the 0 and 1 rows, s-maps omit rows and columns for
@@ -41,7 +44,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DuplicateSection, ParseError, UnknownElement
-from .lattice import ONE, ZERO, QuantumLogic, build_logic
+from .lattice import (
+    NAME_RULE,
+    ONE,
+    ZERO,
+    QuantumLogic,
+    build_logic,
+    is_element_name,
+)
 from .observables import DiscreteObservable, build_observable
 from .rational import check_literal, fmt
 from .smaps import SMap, validate_smap
@@ -212,6 +222,10 @@ def _parse_logic(parsed: ParsedModel, body) -> None:
         if directive == "elements":
             if not args:
                 raise ParseError(lineno, "elements line lists names")
+            for name in args:
+                if not is_element_name(name):
+                    raise ParseError(lineno, f"bad element name {name!r}: "
+                                             f"names are {NAME_RULE}")
             declared.extend(args)
         elif directive == "order":
             if len(args) != 2:

@@ -14,8 +14,10 @@ the correlation takes one square root and is documented to 1e-9.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegenerateVariance,
@@ -26,7 +28,7 @@ from .errors import (
     ZeroElement,
 )
 from .lattice import ZERO, QuantumLogic
-from .rational import frac
+from .rational import common_denominator, frac
 from .smaps import SMap
 from .states import State
 
@@ -37,19 +39,24 @@ CORRELATION_TOL = 1e-9
 @dataclass(frozen=True, eq=True)
 class DiscreteObservable:
     """A finite-spectrum observable: distinct values mapped to mutually
-    orthogonal nonzero events that join to 1."""
+    orthogonal nonzero events that join to 1.
+
+    Observables are immutable (do not mutate `assignment`), so each one
+    sorts its values once and keeps the result.
+    """
 
     logic: QuantumLogic
     assignment: dict  # Fraction -> element name
 
-    @property
+    @cached_property
     def spectrum(self) -> tuple[Fraction, ...]:
+        """The values in increasing order, sorted once per observable."""
         return tuple(sorted(self.assignment))
 
     def element(self, t) -> str:
         return self.assignment[frac(t)]
 
-    @property
+    @cached_property
     def elements(self) -> tuple[str, ...]:
         """Assigned events, in spectrum order."""
         return tuple(self.assignment[t] for t in self.spectrum)
@@ -102,7 +109,16 @@ def build_observable(logic: QuantumLogic, assignment) -> DiscreteObservable:
 
 def expectation(m: State, x: DiscreteObservable) -> Fraction:
     """Mean of x under the state m: sum of t * m(x(t)) over the spectrum."""
-    return sum((t * m(x.element(t)) for t in x.spectrum), Fraction(0))
+    return sum(map(operator.mul, x.spectrum, map(m, x.elements)), Fraction(0))
+
+
+def _dot(u, v):
+    return sum(map(operator.mul, u, v))
+
+
+def _form(us, vs, table):
+    """Sum of us[i] * vs[j] * table[i][j]."""
+    return _dot(us, [_dot(vs, row) for row in table])
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +139,37 @@ class JointDistribution:
         return self.table[frac(t), frac(s)]
 
 
+def _joint_table(x: DiscreteObservable, y: DiscreteObservable, cells,
+                 scaled, nu_x, nu_y, one) -> dict:
+    """The cells of (x, y) keyed by (t, s), after checking the margins of
+    `scaled`, the same cells over the denominator `one`, against the
+    diagonal values nu_x and nu_y over that denominator."""
+    # guaranteed by s-map additivity; failures here are library defects
+    assert sum(map(sum, scaled)) == one
+    assert [sum(row) for row in scaled] == nu_x
+    assert [sum(column) for column in zip(*scaled)] == nu_y
+    return {(t, s): v for t, row in zip(x.spectrum, cells)
+            for s, v in zip(y.spectrum, row)}
+
+
 def joint_distribution(p: SMap, x: DiscreteObservable,
                        y: DiscreteObservable) -> JointDistribution:
-    nu = p.diagonal_state()
-    table = {(t, s): p(x.element(t), y.element(s))
-             for t in x.spectrum for s in y.spectrum}
-    # guaranteed by s-map additivity; failures here are library defects
-    assert sum(table.values()) == 1
-    for t in x.spectrum:
-        assert sum(table[t, s] for s in y.spectrum) == nu(x.element(t))
-    for s in y.spectrum:
-        assert sum(table[t, s] for t in x.spectrum) == nu(y.element(s))
+    values = p.values
+    cells = [[values[e, f] for f in y.elements] for e in x.elements]
+    table = _joint_table(x, y, cells, cells, [values[e, e] for e in x.elements],
+                         [values[f, f] for f in y.elements], 1)
     return JointDistribution(x.spectrum, y.spectrum, table)
 
 
 def first_joint_moment(p: SMap, x: DiscreteObservable,
                        y: DiscreteObservable) -> Fraction:
     """Sum of t * s * p(x(t), y(s)); order of the arguments matters."""
-    return sum((t * s * p(x.element(t), y.element(s))
-                for t in x.spectrum for s in y.spectrum), Fraction(0))
+    return _PairStats(p, x, y).moment_xy
 
 
 def covariance(p: SMap, x: DiscreteObservable,
                y: DiscreteObservable) -> Fraction:
-    nu = p.diagonal_state()
-    return first_joint_moment(p, x, y) - expectation(nu, x) * expectation(nu, y)
+    return _PairStats(p, x, y).matrix.xy
 
 
 def variance(p: SMap, x: DiscreteObservable) -> Fraction:
@@ -159,7 +181,8 @@ def variance(p: SMap, x: DiscreteObservable) -> Fraction:
 def correlation(p: SMap, x: DiscreteObservable,
                 y: DiscreteObservable) -> float:
     """Floating-point correlation coefficient, in [-1, 1] within 1e-9."""
-    return _coefficient(covariance(p, x, y), variance(p, x), variance(p, y))
+    m = covariance_matrix(p, x, y)
+    return _coefficient(m.xy, m.xx, m.yy)
 
 
 def _coefficient(cov: Fraction, vx: Fraction, vy: Fraction) -> float:
@@ -190,10 +213,74 @@ class CovarianceMatrix:
         return self.xy == self.yx
 
 
+class _PairStats:
+    """The cells of x against y, read from p.values once, and the means,
+    first joint moments and covariance matrix that follow from them.
+
+    The sums run on integers.  The cells of the four tables (x, x), (x, y),
+    (y, x) and (y, y) share one denominator d, and the values of x and y
+    share one denominator c, so that p(x(t), y(s)) = xy[i][j] / d with
+    t = X[i] / c and s = Y[j] / c.  A mean is then an integer over c d, a
+    first joint moment one over c^2 d and a covariance one over (c d)^2.
+    """
+
+    def __init__(self, p: SMap, x: DiscreteObservable, y: DiscreteObservable):
+        self.x, self.y = x, y
+        values, n = p.values, len(x.elements)
+        events = x.elements + y.elements
+        block = [[values[e, f] for f in events] for e in events]
+        self.cells_xy = [row[n:] for row in block[:n]]
+        self.cells_yx = [row[:n] for row in block[n:]]
+        scaled, d = common_denominator(block)
+        (z,), c = common_denominator([x.spectrum + y.spectrum])
+        self.X, self.Y, self.c, self.d = z[:n], z[n:], c, d
+        xx = [row[:n] for row in scaled[:n]]
+        self.xy = [row[n:] for row in scaled[:n]]
+        self.yx = [row[:n] for row in scaled[n:]]
+        yy = [row[n:] for row in scaled[n:]]
+        self.nu_x = [row[i] for i, row in enumerate(xx)]
+        self.nu_y = [row[j] for j, row in enumerate(yy)]
+        self.sx, self.sy = _dot(self.X, self.nu_x), _dot(self.Y, self.nu_y)
+        self.mxy = _form(self.X, self.Y, self.xy)
+        self.myx = _form(self.Y, self.X, self.yx)
+        # variances and covariances, numerators over (c d)^2
+        self.vx = d * _form(self.X, self.X, xx) - self.sx * self.sx
+        self.cxy = d * self.mxy - self.sx * self.sy
+        self.cyx = d * self.myx - self.sy * self.sx
+        self.vy = d * _form(self.Y, self.Y, yy) - self.sy * self.sy
+        # the same as Fractions; the variances are not checked yet
+        cd = c * d
+        self.mean_x, self.mean_y = Fraction(self.sx, cd), Fraction(self.sy, cd)
+        self.moment_xy = Fraction(self.mxy, c * cd)
+        self.moment_yx = Fraction(self.myx, c * cd)
+        self.matrix = CovarianceMatrix(*(Fraction(v, cd * cd) for v in
+                                         (self.vx, self.cxy, self.cyx, self.vy)))
+
+    def joint_tables(self):
+        """The (x, y) and (y, x) tables keyed by outcome, margins checked."""
+        return (_joint_table(self.x, self.y, self.cells_xy, self.xy,
+                             self.nu_x, self.nu_y, self.d),
+                _joint_table(self.y, self.x, self.cells_yx, self.yx,
+                             self.nu_y, self.nu_x, self.d))
+
+
+def _centered(us, vs, table, d: int, mean_u: int, mean_v: int) -> int:
+    """Sum of (u - mean_u)(v - mean_v) w over the cells w = table[i][j] / d
+    at u = us[i] / c and v = vs[j] / c, with both means over c d; the
+    result is over c^2 d^3."""
+    return _form([u * d - mean_u for u in us], [v * d - mean_v for v in vs],
+                 table)
+
+
+def _checked(m: CovarianceMatrix) -> CovarianceMatrix:
+    # variances are nonnegative for a valid s-map; a failure is a defect
+    assert m.xx >= 0 and m.yy >= 0
+    return m
+
+
 def covariance_matrix(p: SMap, x: DiscreteObservable,
                       y: DiscreteObservable) -> CovarianceMatrix:
-    return CovarianceMatrix(variance(p, x), covariance(p, x, y),
-                            covariance(p, y, x), variance(p, y))
+    return _checked(_PairStats(p, x, y).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +310,38 @@ class ClassicalRepresentation:
 
 def classical_representation(p: SMap, x: DiscreteObservable,
                              y: DiscreteObservable) -> ClassicalRepresentation:
-    jxy = joint_distribution(p, x, y)
-    jyx = joint_distribution(p, y, x)
-    measure_xy = dict(jxy.table)
-    measure_yx = dict(jyx.table)
-    outcomes_xy = tuple((t, s) for t in x.spectrum for s in y.spectrum)
-    outcomes_yx = tuple((s, t) for s in y.spectrum for t in x.spectrum)
+    return _classical(_PairStats(p, x, y))
 
-    # classical route: plain weighted sums over the finite sample spaces
-    mean_x_1 = sum((t * measure_xy[t, s] for t, s in outcomes_xy), Fraction(0))
-    mean_y_1 = sum((s * measure_xy[t, s] for t, s in outcomes_xy), Fraction(0))
-    mean_x_2 = sum((t * measure_yx[s, t] for s, t in outcomes_yx), Fraction(0))
-    mean_y_2 = sum((s * measure_yx[s, t] for s, t in outcomes_yx), Fraction(0))
-    cov_1 = sum(((t - mean_x_1) * (s - mean_y_1) * measure_xy[t, s]
-                 for t, s in outcomes_xy), Fraction(0))
-    cov_2 = sum(((t - mean_x_2) * (s - mean_y_2) * measure_yx[s, t]
-                 for s, t in outcomes_yx), Fraction(0))
+
+def _classical(stats: _PairStats) -> ClassicalRepresentation:
+    measure_xy, measure_yx = stats.joint_tables()
+
+    # classical route: weighted sums over each finite sample space, on the
+    # integer cells (means over c d, covariances over c^2 d^3)
+    X, Y, d = stats.X, stats.Y, stats.d
+    mean_x_1 = _dot(X, map(sum, stats.xy))
+    mean_y_1 = _dot(Y, map(sum, zip(*stats.xy)))
+    mean_y_2 = _dot(Y, map(sum, stats.yx))
+    mean_x_2 = _dot(X, map(sum, zip(*stats.yx)))
+    cov_1 = _centered(X, Y, stats.xy, d, mean_x_1, mean_y_1)
+    cov_2 = _centered(Y, X, stats.yx, d, mean_y_2, mean_x_2)
 
     # lattice route; the equalities are theorems, so plain asserts
-    nu = p.diagonal_state()
-    nu_x, nu_y = expectation(nu, x), expectation(nu, y)
-    assert mean_x_1 == mean_x_2 == nu_x
-    assert mean_y_1 == mean_y_2 == nu_y
-    m = covariance_matrix(p, x, y)
-    assert cov_1 == m.xy
-    assert cov_2 == m.yx
-    assert cov_1 * cov_1 <= m.xx * m.yy
-    assert cov_2 * cov_2 <= m.xx * m.yy
+    assert mean_x_1 == mean_x_2 == stats.sx
+    assert mean_y_1 == mean_y_2 == stats.sy
+    vx, vy = stats.vx, stats.vy  # over (c d)^2, like the covariances
+    assert vx >= 0 and vy >= 0
+    assert cov_1 == d * stats.cxy
+    assert cov_2 == d * stats.cyx
+    # Cauchy-Schwarz, cov^2 <= var_x var_y, multiplied through by c^4 d^6
+    assert cov_1 * cov_1 <= vx * vy * d * d
+    assert cov_2 * cov_2 <= vx * vy * d * d
 
-    return ClassicalRepresentation(outcomes_xy, measure_xy, outcomes_yx,
-                                   measure_yx, nu_x, nu_y, cov_1, cov_2)
+    scale = stats.c ** 2 * d ** 3
+    return ClassicalRepresentation(
+        tuple(measure_xy), measure_xy, tuple(measure_yx), measure_yx,
+        stats.mean_x, stats.mean_y, Fraction(cov_1, scale),
+        Fraction(cov_2, scale))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +374,8 @@ class StatsReport:
 
 def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
                   x_label: str = "x", y_label: str = "y") -> StatsReport:
-    nu = p.diagonal_state()
-    m = covariance_matrix(p, x, y)
+    stats = _PairStats(p, x, y)
+    m = _checked(stats.matrix)
     notes = []
     try:
         r_xy: float | None = _coefficient(m.xy, m.xx, m.yy)
@@ -297,13 +386,14 @@ def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
     events = list(dict.fromkeys(x.elements + y.elements))
     independence = {(u, v): p.is_independent_pair(u, v)
                     for u in events for v in events if u != v}
+    joint_xy, joint_yx = stats.joint_tables()
     return StatsReport(
         x_label=x_label,
         y_label=y_label,
-        nu_x=expectation(nu, x),
-        nu_y=expectation(nu, y),
-        moment_xy=first_joint_moment(p, x, y),
-        moment_yx=first_joint_moment(p, y, x),
+        nu_x=stats.mean_x,
+        nu_y=stats.mean_y,
+        moment_xy=stats.moment_xy,
+        moment_yx=stats.moment_yx,
         cov_xy=m.xy,
         cov_yx=m.yx,
         var_x=m.xx,
@@ -312,8 +402,8 @@ def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
         r_yx=r_yx,
         matrix=m,
         compatible=x.is_compatible_with(y),
-        joint_xy=joint_distribution(p, x, y),
-        joint_yx=joint_distribution(p, y, x),
+        joint_xy=JointDistribution(x.spectrum, y.spectrum, joint_xy),
+        joint_yx=JointDistribution(y.spectrum, x.spectrum, joint_yx),
         independence=independence,
         notes=tuple(notes),
     )

@@ -8,6 +8,7 @@ literals are parsed exactly ("0.3" means 3/10), so axiom checks can use
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -61,6 +62,16 @@ def frac(value) -> Fraction:
         raise TypeError(
             f"refusing float {value!r}: pass a string or Fraction to stay exact")
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
+
+
+def common_denominator(rows) -> tuple[list[list[int]], int]:
+    """The rationals in `rows`, a sequence of sequences, as integer
+    numerators over their least common denominator, and that denominator.
+    Sums, equalities and orderings of entries carry over to the numerators.
+    """
+    den = math.lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (den // v.denominator) for v in row]
+            for row in rows], den
 
 
 def fmt(q: Fraction) -> str:

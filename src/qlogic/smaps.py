@@ -10,7 +10,6 @@ what makes direction-dependent correlation possible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -25,7 +24,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import frac
+from .rational import common_denominator, frac
 from .states import (
     ConditionalState,
     ConditionalSystem,
@@ -89,8 +88,7 @@ def validate_smap(logic: QuantumLogic, values) -> SMap:
     if nonzero:
         r, c = min(nonzero)
         raise S2Violation(names[r], names[c], flat[r * n + c])
-    den = math.lcm(*(v.denominator for v in flat))
-    num = [v.numerator * (den // v.denominator) for v in flat]
+    (num,), den = common_denominator([flat])
     rows = [num[r * n:(r + 1) * n] for r in range(n)]
     cols = [num[c::n] for c in range(n)]
     for i, j, k in pairs:

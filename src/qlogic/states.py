@@ -12,7 +12,6 @@ equality, so 11/30 stays 11/30.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,7 +32,7 @@ from .errors import (
     ZeroInSeed,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import frac
+from .rational import common_denominator, frac
 
 
 @dataclass(frozen=True, eq=True)
@@ -86,8 +85,7 @@ def _check_state_column(logic: QuantumLogic, column):
         v = column[logic.index(bound)]
         if v != expected:
             raise BoundsViolation(bound, v, expected)
-    den = math.lcm(*(v.denominator for v in column))
-    num = [v.numerator * (den // v.denominator) for v in column]
+    (num,), den = common_denominator([column])
     for i, j, k in logic._orth_pairs:
         if num[k] != num[i] + num[j]:
             raise AdditivityViolation(names[i], names[j], column[k],

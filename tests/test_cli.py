@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+from fractions import Fraction as F
+
 import pytest
 
 from qlogic.cli import main
+from qlogic.lattice import ONE, ZERO
+from qlogic.modelfile import (
+    parse_model,
+    parse_model_text,
+    realize_logic,
+    realize_model,
+    realize_smap,
+)
 from qlogic.repro import fixture_text
+from qlogic.rational import fmt
 
 
 @pytest.fixture()
@@ -173,6 +184,103 @@ def test_stats_degenerate_variance_warns(tmp_path, capsys):
 def test_stats_missing_observable(files, capsys):
     assert main(["stats", files["2.1"], "--smap", "p",
                  "--x", "x", "--y", "z"]) == 2
+
+
+# -- a lattice that is not a horizontal sum ----------------------------------
+
+PASTING_LOGIC = """\
+# two 8-element Boolean blocks, atoms {x, a1, a2} and {x, b1, b2},
+# pasted along {0, x, x', 1}
+[logic]
+elements 0 1 x x' a1 a2 a1' a2' b1 b2 b1' b2'
+order a1 x'
+order a2 x'
+order x a1'
+order a2 a1'
+order x a2'
+order a1 a2'
+order b1 x'
+order b2 x'
+order x b1'
+order b2 b1'
+order x b2'
+order b1 b2'
+complement x x'
+complement a1 a1'
+complement a2 a2'
+complement b1 b1'
+complement b2 b2'
+"""
+
+#: the two-valued states with their mixing weights: each picks one atom per
+#: block (x for both, or one a and one b) and gives 1 to exactly the
+#: elements above a picked atom
+TWO_VALUED = {("x",): F(1, 10), ("a1", "b1"): F(1, 5), ("a1", "b2"): F(3, 10),
+              ("a2", "b1"): F(1, 10), ("a2", "b2"): F(3, 10)}
+
+
+def pasting_model(logic) -> tuple[str, dict]:
+    """Model-file text with a state, a conditional state, two observables
+    and an s-map p, the mixture of d(a) d(b) over the two-valued states d,
+    on `logic`; the s-map section omits its 0 and 1 rows and columns.
+    Returns the text and the complete table of p."""
+    def delta(picked, e):
+        return int(any(logic.leq(t, e) for t in picked))
+
+    p = {(a, b): sum((w * delta(d, a) * delta(d, b)
+                      for d, w in TWO_VALUED.items()), F(0))
+         for a in logic.names for b in logic.names}
+    inner = [e for e in logic.names if e not in (ZERO, ONE)]
+    lines = [PASTING_LOGIC, "[state m]"]
+    lines += [f"{e} = {fmt(p[e, e])}" for e in inner]
+    lines.append("\n[cond f]   # f(b | a) = p(b, a) / p(a, a)")
+    lines += [f"{b} | {a} = {fmt(p[b, a] / p[a, a])}"
+              for a in logic.names if a != ZERO for b in inner]
+    lines.append("\n[smap p]")
+    lines += [f"{a} , {b} = {fmt(p[a, b])}" for a in inner for b in inner]
+    lines.append("\n[observable x]\n1 -> a1\n2 -> a2\n3 -> x")
+    lines.append("\n[observable y]\n-1 -> b1\n0 -> b2\n5 -> x")
+    return "\n".join(lines) + "\n", p
+
+
+def test_pasting_model_through_the_cli(tmp_path, capsys, pasting12):
+    text, p = pasting_model(pasting12)
+    path = tmp_path / "pasting12.qlm"
+    path.write_text(text, encoding="utf-8")
+
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "logic: ok (12 elements)", "state m: ok", "cond f: ok", "smap p: ok",
+        "observable x: ok", "observable y: ok"]
+
+    # the completion fills the rows and columns of 0 and 1 the file omits
+    parsed = parse_model(path)
+    logic = realize_logic(parsed)
+    assert logic == pasting12
+    assert not any({ZERO, ONE} & set(key) for key in parsed.smaps["p"])
+    assert realize_smap(logic, parsed.smaps["p"]).values == p
+    model = realize_model(parsed)
+
+    # derived sections parse again, and the conversions invert each other
+    assert main(["derive", str(path), "--from", "smap", "--name", "p"]) == 0
+    derived = realize_model(parse_model_text(
+        PASTING_LOGIC + capsys.readouterr().out))
+    assert derived.conds["p"] == model.conds["f"]
+    assert main(["derive", str(path), "--from", "cond", "--name", "f"]) == 0
+    derived = realize_model(parse_model_text(
+        PASTING_LOGIC + capsys.readouterr().out))
+    assert derived.smaps["f"].values == p
+
+    assert main(["stats", str(path), "--smap", "p", "--x", "x", "--y", "y"]) == 0
+    got = machine_values(capsys.readouterr().out)
+    x = {"1": "a1", "2": "a2", "3": "x"}
+    y = {"-1": "b1", "0": "b2", "5": "x"}
+    for t, e in x.items():
+        for s, f in y.items():
+            assert got[f"joint_xy({t},{s})"] == fmt(p[e, f])
+            assert got[f"joint_yx({s},{t})"] == fmt(p[f, e])
+    assert got["observables_compatible"] == "false"
+    assert got["nu_x"] == fmt(sum(int(t) * p[e, e] for t, e in x.items()))
 
 
 # -- gen / check --------------------------------------------------------------

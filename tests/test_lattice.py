@@ -92,8 +92,12 @@ def test_structural_equality(mo2, example21):
 
 
 def test_bad_names():
+    # whitespace and the model-file separators would not survive emission
+    for name in ("a b", "", "a,b", "c|d", "x=y", "p->q", "x#", "[y]", "z]", 7):
+        with pytest.raises(BadElementName):
+            build_logic(["0", "1", name])
     with pytest.raises(BadElementName):
-        build_logic(["0", "1", "a b"])
+        build_logic(["0", "1", "x#", "[y]"], [], [("x#", "[y]")])
     with pytest.raises(BadElementName):
         build_logic(["0", "1", "a", "a"])
     with pytest.raises(MissingBounds):

@@ -5,8 +5,18 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlogic import gen_mo, random_smap, random_state
+from qlogic import (
+    build_logic,
+    conditional_from_smap,
+    gen_boolean,
+    gen_mo,
+    horizontal_sum,
+    random_smap,
+    random_state,
+)
 from qlogic.errors import (
     C1Violation,
     MissingTableEntry,
@@ -14,6 +24,8 @@ from qlogic.errors import (
     S3Violation,
     UnknownElement,
 )
+from qlogic.generators import infer_blocks
+from qlogic.lattice import ONE, ZERO, is_element_name
 from qlogic.modelfile import (
     ModelFile,
     emit_model,
@@ -22,6 +34,7 @@ from qlogic.modelfile import (
     realize_cond,
     realize_logic,
     realize_model,
+    realize_observable,
     realize_smap,
     realize_state,
 )
@@ -110,6 +123,9 @@ def test_inconsistent_explicit_bound_row_caught(mo2):
      "duplicate"),
     ("[logic]\nelements 0 1 x y\nrank x 3\n", 3, "unknown directive"),
     ("[logic]\nelements 0 1 x y\ncomplement x\n", 3, "two elements"),
+    ("[logic]\nelements 0 1 x\nelements a,b\n", 3, "bad element name"),
+    ("[logic]\nelements 0 1 p->q\n", 2, "bad element name"),
+    ("[logic]\nelements 0 1 x [y]\n", 2, "bad element name"),
     ("[logic]\nelements 0 1 x y\ncomplement x y\n[state m]\nx = 1/0\n", 5,
      "bad number"),
     ("[logic]\nelements 0 1 x y\ncomplement x y\n[state m]\nx 1\n", 5,
@@ -178,6 +194,48 @@ def test_emit_parse_roundtrip_generated(tmp_path):
     assert again.logic == logic
     assert again.states["m"].values == model.states["m"].values
     assert again.smaps["p"].values == model.smaps["p"].values
+
+
+#: element names from the whole token grammar, bounds excluded
+element_names = st.text(min_size=1, max_size=5).filter(
+    lambda s: is_element_name(s) and s not in (ZERO, ONE))
+
+SHAPES = {"mo-2": lambda: gen_mo(2), "boolean-3": lambda: gen_boolean(3),
+          "hs-2-3": lambda: horizontal_sum([2, 3])}
+
+
+def _renamed(logic, rename):
+    """`logic` with every element other than the bounds renamed."""
+    def new(e):
+        return e if e in (ZERO, ONE) else rename[e]
+    return build_logic([new(e) for e in logic.names],
+                       [(new(a), new(b)) for a, b in logic.covers()],
+                       [(new(a), new(logic.complement(a))) for a in logic.names])
+
+
+@settings(deadline=None, max_examples=40)
+@given(shape=st.sampled_from(sorted(SHAPES)), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_emit_parse_realize_is_identity(shape, data, seed):
+    base = SHAPES[shape]()
+    inner = [e for e in base.names if e not in (ZERO, ONE)]
+    fresh = data.draw(st.lists(element_names, min_size=len(inner),
+                               max_size=len(inner), unique=True))
+    logic = _renamed(base, dict(zip(inner, fresh)))
+    p = random_smap(logic, seed)
+    block = infer_blocks(logic)[0]
+    values = data.draw(st.lists(st.fractions(-10, 10, max_denominator=12),
+                                min_size=len(block), max_size=len(block),
+                                unique=True))
+    model = ModelFile(logic, {"m": random_state(logic, seed)},
+                      {"f": conditional_from_smap(p)}, {"p": p},
+                      {"x": realize_observable(logic, dict(zip(values, block)))})
+    again = _reparse(model)
+    assert again.logic == logic
+    assert again.states["m"] == model.states["m"]
+    assert again.conds["f"] == model.conds["f"]
+    assert again.smaps["p"] == model.smaps["p"]
+    assert again.observables["x"] == model.observables["x"]
 
 
 def test_emitted_cond_roundtrip(example21):
