@@ -10,6 +10,7 @@ floats and are printed with nine decimal places.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import ModelFileError, QLogicError
@@ -17,9 +18,9 @@ from .generators import (
     distributivity_scan,
     gen_boolean,
     gen_mo,
+    infer_blocks,
     oracle_scan,
     random_smap,
-    random_state,
     roundtrip_suite,
 )
 from .modelfile import (
@@ -202,27 +203,33 @@ def cmd_stats(args) -> int:
 # gen / check
 
 
-def _family_lattice(args):
+def _family_lattice(args, sampled: bool):
+    """The lattice `args` names, or an exit code; with `sampled`, it must
+    also be a horizontal sum the seeded sampler can draw on."""
     try:
-        return FAMILIES[args.family](args.n), None
+        logic = FAMILIES[args.family](args.n)
+        if sampled:
+            infer_blocks(logic)
+        return logic, None
     except QLogicError as exc:
         return None, _fail(str(exc), 2)
 
 
 def cmd_gen(args) -> int:
-    logic, code = _family_lattice(args)
+    logic, code = _family_lattice(args, args.seed is not None)
     if logic is None:
         return code
     chunks = [emit_logic(logic)]
     if args.seed is not None:
-        chunks.append(emit_state("m", random_state(logic, args.seed)))
-        chunks.append(emit_smap("p", random_smap(logic, args.seed)))
+        p = random_smap(logic, args.seed)
+        chunks.append(emit_state("m", p.diagonal_state()))
+        chunks.append(emit_smap("p", p))
     print("\n\n".join("\n".join(chunk) for chunk in chunks))
     return 0
 
 
 def cmd_check(args) -> int:
-    logic, code = _family_lattice(args)
+    logic, code = _family_lattice(args, True)
     if logic is None:
         return code
     failures = 0
@@ -323,8 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser as it was, so one serves the whole process
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

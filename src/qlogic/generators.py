@@ -14,25 +14,23 @@ else, and they share no code with them.
 
 from __future__ import annotations
 
+import math
 import random
 import string
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeOutOfRange, UnsupportedLattice
 from .lattice import ONE, ZERO, QuantumLogic, build_logic
 from .observables import (
     _centered,
-    _checked,
-    _classical,
-    _coefficient,
+    _check_variances,
+    _classical_covariances,
     _PairStats,
     build_observable,
 )
-from .rational import common_denominator
-from .smaps import SMap, conditional_from_smap, smap_from_conditional, validate_smap
-from .states import State, validate_conditional_state
+from .smaps import SMap, _check_smap, conditional_from_smap, smap_from_conditional
+from .states import State, _check_conditional
 
 #: resolution of the random rational draws
 DENOMINATOR_BOUND = 1000
@@ -122,71 +120,54 @@ def infer_blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
     atoms.  The partition is verified: blocks must be cliques of that graph
     joining to 1, and every element other than the bounds must be the join
     of the atoms below it, all from a single block.  Anything else is not a
-    horizontal sum and is rejected.
+    horizontal sum and is rejected.  The lattice is immutable, so the
+    blocks are computed once and kept on it.
     """
-    atoms = logic.atoms()
-    block_of = {}
-    blocks: list[list[str]] = []
-    for atom in atoms:
-        if atom in block_of:
-            continue
-        component = [atom]
-        block_of[atom] = len(blocks)
-        frontier = [atom]
-        while frontier:
-            current = frontier.pop()
-            for other in atoms:
-                if other not in block_of and logic.is_orthogonal(current, other):
-                    block_of[other] = len(blocks)
-                    component.append(other)
-                    frontier.append(other)
-        blocks.append(sorted(component, key=logic.index))
+    if logic._blocks is None:
+        logic._blocks = _blocks(logic)
+    return logic._blocks
 
+
+def _blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
+    """:func:`infer_blocks` on the lattice's index tables."""
+    names, leq, comp = logic.names, logic._leq, logic._comp
+    atoms = [logic.index(a) for a in logic.atoms()]
+    block_of = {}  # atom -> index of its connected component
+    blocks: list[list[int]] = []
+    for atom in atoms:
+        if atom not in block_of:
+            block_of[atom] = len(blocks)
+            component, frontier = [atom], [atom]
+            while frontier:
+                current = frontier.pop()
+                new = [b for b in atoms
+                       if b not in block_of and leq[current][comp[b]]]
+                block_of.update(dict.fromkeys(new, len(blocks)))
+                component += new
+                frontier += new
+            blocks.append(sorted(component))
     for block in blocks:
         if len(block) < 2:
-            raise UnsupportedLattice(f"block of {block[0]} has a single atom")
+            raise UnsupportedLattice(f"block of {names[block[0]]} has a single atom")
         for a, b in combinations(block, 2):
-            if not logic.is_orthogonal(a, b):
-                raise UnsupportedLattice(
-                    f"atoms {a} and {b} share a block but are not orthogonal")
-        if logic.join_all(block) != ONE:
-            raise UnsupportedLattice(f"block of {block[0]} does not join to 1")
-    for e in logic.names:
-        if e in (ZERO, ONE):
+            if not leq[a][comp[b]]:
+                raise UnsupportedLattice(f"atoms {names[a]} and {names[b]} share "
+                                         f"a block but are not orthogonal")
+        if _join_all(logic, block) != logic.index(ONE):
+            raise UnsupportedLattice(f"block of {names[block[0]]} does not join to 1")
+    for e, name in enumerate(names):
+        if name in (ZERO, ONE):
             continue
-        below = [a for a in atoms if logic.leq(a, e)]
+        below = [a for a in atoms if leq[a][e]]
         if not below or len({block_of[a] for a in below}) != 1:
-            raise UnsupportedLattice(f"element {e} spans several blocks")
-        if logic.join_all(below) != e:
-            raise UnsupportedLattice(f"element {e} is not a join of atoms")
-    return tuple(tuple(b) for b in blocks)
-
-
-def _atoms_below(logic: QuantumLogic, blocks) -> dict:
-    """Atom decomposition used for additive completion; 1 decomposes
-    through the first block (any block gives the same sums)."""
-    table = {ZERO: (), ONE: tuple(blocks[0])}
-    for e in logic.names:
-        if e in (ZERO, ONE):
-            continue
-        table[e] = tuple(a for block in blocks for a in block if logic.leq(a, e))
-    return table
+            raise UnsupportedLattice(f"element {name} spans several blocks")
+        if _join_all(logic, below) != e:
+            raise UnsupportedLattice(f"element {name} is not a join of atoms")
+    return tuple(tuple(names[a] for a in block) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
 # seeded random models
-
-
-def _random_unit(rng: random.Random) -> Fraction:
-    """Uniform draw from [0, 1] at 1/DENOMINATOR_BOUND resolution."""
-    return Fraction(rng.randint(0, DENOMINATOR_BOUND), DENOMINATOR_BOUND)
-
-
-def _random_block_masses(rng: random.Random, k: int) -> list[Fraction]:
-    """Strictly positive rational masses summing to 1."""
-    weights = [rng.randint(1, DENOMINATOR_BOUND) for _ in range(k)]
-    total = sum(weights)
-    return [Fraction(w, total) for w in weights]
 
 
 def random_state(logic: QuantumLogic, seed: int) -> State:
@@ -205,21 +186,26 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     retries are needed).  Remaining entries follow by additivity, so the
     result is a valid s-map by construction; it is deterministic for a
     fixed seed.
+
+    The arithmetic is on integers over one denominator.  Draw k of a block
+    pair moves a value by u / DENOMINATOR_BOUND of a span whose denominator
+    divides the block totals' product times DENOMINATOR_BOUND^(k-1), so over
+    `den` below every value is an integer and every draw divides exactly.
     """
-    blocks = infer_blocks(logic)
-    below = _atoms_below(logic, blocks)
+    blocks = [[logic.index(a) for a in block] for block in infer_blocks(logic)]
     rng = random.Random(seed)
+    weights = [[rng.randint(1, DENOMINATOR_BOUND) for _ in block]
+               for block in blocks]
+    totals = [sum(w) for w in weights]
+    draws = max((len(r) - 1) * len(c) for r in blocks for c in blocks)
+    den = math.lcm(*totals) ** 2 * DENOMINATOR_BOUND ** draws
+    mass = {a: w * (den // total) for block, ws, total in
+            zip(blocks, weights, totals) for a, w in zip(block, ws)}
 
-    mass = {}
-    for block in blocks:
-        for atom, m in zip(block, _random_block_masses(rng, len(block))):
-            mass[atom] = m
-
-    atom_table = {}
-    for block in blocks:
-        for a in block:
-            for b in block:
-                atom_table[a, b] = mass[a] if a == b else Fraction(0)
+    n = len(logic)
+    cells = [[0] * n for _ in range(n)]  # atom pairs, by element index
+    for a, m in mass.items():
+        cells[a][a] = m
     for rows in blocks:
         for cols in blocks:
             if rows is cols:
@@ -228,25 +214,27 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
             for i, a in enumerate(rows):
                 remaining_row = mass[a]
                 for j, b in enumerate(cols):
-                    tail = sum((remaining_col[c] for c in cols[j + 1:]),
-                               Fraction(0))
-                    lo = max(Fraction(0), remaining_row - tail)
+                    tail = sum(remaining_col[c] for c in cols[j + 1:])
+                    lo = max(0, remaining_row - tail)
                     hi = min(remaining_row, remaining_col[b])
                     if i == len(rows) - 1:
                         t = hi  # last row is forced to the column remainder
                     else:
-                        t = lo + (hi - lo) * _random_unit(rng)
-                    atom_table[a, b] = t
+                        u = rng.randint(0, DENOMINATOR_BOUND)
+                        t = lo + (hi - lo) * u // DENOMINATOR_BOUND
+                    cells[a][b] = t
                     remaining_row -= t
                     remaining_col[b] -= t
 
-    values = {}
-    for u in logic.names:
-        for v in logic.names:
-            values[u, v] = sum((atom_table[a, b]
-                                for a in below[u] for b in below[v]),
-                               Fraction(0))
-    return SMap(logic, values)
+    # remaining entries by additivity; 1 decomposes through the first block
+    # (any block gives the same sums)
+    below = [() if name == ZERO else blocks[0] if name == ONE else
+             [a for block in blocks for a in block if logic._leq[a][e]]
+             for e, name in enumerate(logic.names)]
+    rows = [[sum(column) for column in zip(*(cells[a] for a in atoms))]
+            if atoms else [0] * n for atoms in below]
+    num = [sum(row[b] for b in atoms) for row in rows for atoms in below]
+    return SMap.from_table(logic, num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +349,19 @@ class SuiteReport:
         return self.failed == 0
 
 
-def _smap_rows(p: SMap):
-    """p(a, b) as integer rows over a common denominator, row-major and
-    indexed like `logic.names`, and that denominator."""
-    names, values = p.logic.names, p.values
-    return common_denominator([[values[a, b] for b in names] for a in names])
-
-
-def _conditional_columns(f):
-    """f(b | a) as integer columns over a common denominator, one per
-    member a keyed by its index and indexed by b like `logic.names`, and
-    that denominator."""
-    logic, values = f.logic, f.values
-    members = f.cs.sorted_members()
-    columns, den = common_denominator([[values[b, a] for b in logic.names]
-                                       for a in members])
-    return dict(zip(map(logic.index, members), columns)), den
+def _common_columns(f):
+    """f's columns, keyed by member index, over their least common
+    denominator, and that denominator."""
+    one = math.lcm(*(d for _, d in f.columns.values()))
+    return {a: [v * (one // d) for v in num]
+            for a, (num, d) in f.columns.items()}, one
 
 
 def smap_law_scan(p: SMap) -> str | None:
     """The derived s-map laws, checked exhaustively on one s-map."""
     logic = p.logic
     names, leq, comp, meet = logic.names, logic._leq, logic._comp, logic._meet
-    rows, _ = _smap_rows(p)
+    rows = p.rows()
     compatible = _compatibility(logic)
     for i, a in enumerate(names):
         row = rows[i]
@@ -419,7 +397,7 @@ def independence_law_scan(f) -> str | None:
     over every admissible triple."""
     logic = f.logic
     names, comp = logic.names, logic._comp
-    col, one = _conditional_columns(f)
+    col, one = _common_columns(f)
     compatible = _compatibility(logic)
     # b is independent of a given c (where f(c | a) = 1) iff
     # f(b | c) = f(b | a), that is col[c][b] == col[a][b]
@@ -454,8 +432,8 @@ def product_equivalence_scan(p: SMap, f) -> str | None:
     independence, conditioned on 1 (which f must condition on, as every
     conditional state derived from an s-map does)."""
     names = p.logic.names
-    rows, den = _smap_rows(p)
-    col, one = _conditional_columns(f)
+    rows, den = p.rows(), p.den
+    col, one = _common_columns(f)
     top = p.logic.index(ONE)
     given_one = col[top]
     for a, col_a in col.items():
@@ -495,9 +473,10 @@ def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
                              stats.sy)
         if centered != stats.d * stats.cxy:
             return "centered-moment identity fails"
-        m = _checked(stats.matrix)
-        _coefficient(m.xy, m.xx, m.yy)  # raises DegenerateVariance
-        _classical(stats)  # asserts its own equalities
+        # the checks of covariance_matrix and correlation, on integers
+        assert stats.vx >= 0 and stats.vy >= 0
+        _check_variances(stats.vx, stats.vy)
+        _classical_covariances(stats)  # asserts its own equalities
         if u.is_compatible_with(v) and stats.mxy != stats.myx:
             return "compatible observables with asymmetric joint moment"
     return None
@@ -512,14 +491,14 @@ def roundtrip_suite(logic: QuantumLogic, trials: int, seed: int) -> SuiteReport:
 
     def run_trial(trial_seed: int) -> str | None:
         p = random_smap(logic, trial_seed)
-        validate_smap(logic, p.values)
+        _check_smap(logic, p.num, p.den)
         f = conditional_from_smap(p)
-        validate_conditional_state(logic, f.cs, f.values)
+        _check_conditional(logic, f.columns)
         p2 = smap_from_conditional(f)
-        if p2.values != p.values:
+        if p2 != p:
             return "s-map -> conditional -> s-map is not the identity"
         f2 = conditional_from_smap(p2)
-        if f2.values != f.values or f2.cs != f.cs:
+        if f2 != f:
             return "conditional -> s-map -> conditional is not the identity"
         return (smap_law_scan(p)
                 or product_equivalence_scan(p, f)

@@ -56,7 +56,7 @@ class QuantumLogic:
     """
 
     __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
-                 "_orth_pairs")
+                 "_orth_pairs", "_blocks")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -71,6 +71,9 @@ class QuantumLogic:
             (i, j, join[i][j])
             for i in range(len(self.names)) for j in range(i, len(self.names))
             if leq[i][comp[j]])
+        #: the Boolean blocks of a horizontal sum, kept by the first
+        #: successful `generators.infer_blocks` call
+        self._blocks = None
 
     # -- basic access -------------------------------------------------------
 

@@ -139,32 +139,16 @@ class JointDistribution:
         return self.table[frac(t), frac(s)]
 
 
-def _joint_table(x: DiscreteObservable, y: DiscreteObservable, cells,
-                 scaled, nu_x, nu_y, one) -> dict:
-    """The cells of (x, y) keyed by (t, s), after checking the margins of
-    `scaled`, the same cells over the denominator `one`, against the
-    diagonal values nu_x and nu_y over that denominator."""
-    # guaranteed by s-map additivity; failures here are library defects
-    assert sum(map(sum, scaled)) == one
-    assert [sum(row) for row in scaled] == nu_x
-    assert [sum(column) for column in zip(*scaled)] == nu_y
-    return {(t, s): v for t, row in zip(x.spectrum, cells)
-            for s, v in zip(y.spectrum, row)}
-
-
 def joint_distribution(p: SMap, x: DiscreteObservable,
                        y: DiscreteObservable) -> JointDistribution:
-    values = p.values
-    cells = [[values[e, f] for f in y.elements] for e in x.elements]
-    table = _joint_table(x, y, cells, cells, [values[e, e] for e in x.elements],
-                         [values[f, f] for f in y.elements], 1)
+    table, _ = _PairStats(p, x, y).joint_tables()
     return JointDistribution(x.spectrum, y.spectrum, table)
 
 
 def first_joint_moment(p: SMap, x: DiscreteObservable,
                        y: DiscreteObservable) -> Fraction:
     """Sum of t * s * p(x(t), y(s)); order of the arguments matters."""
-    return _PairStats(p, x, y).moment_xy
+    return _PairStats(p, x, y).moments[0]
 
 
 def covariance(p: SMap, x: DiscreteObservable,
@@ -186,12 +170,17 @@ def correlation(p: SMap, x: DiscreteObservable,
 
 
 def _coefficient(cov: Fraction, vx: Fraction, vy: Fraction) -> float:
+    _check_variances(vx, vy)
+    r = float(cov) / math.sqrt(float(vx * vy))
+    return max(-1.0, min(1.0, r))
+
+
+def _check_variances(vx, vy) -> None:
+    """Refuse a vanishing variance, where correlation is undefined."""
     if vx == 0:
         raise DegenerateVariance("x")
     if vy == 0:
         raise DegenerateVariance("y")
-    r = float(cov) / math.sqrt(float(vx * vy))
-    return max(-1.0, min(1.0, r))
 
 
 @dataclass(frozen=True, eq=True)
@@ -214,30 +203,27 @@ class CovarianceMatrix:
 
 
 class _PairStats:
-    """The cells of x against y, read from p.values once, and the means,
+    """The cells of x against y, read from p's table once, and the means,
     first joint moments and covariance matrix that follow from them.
 
     The sums run on integers.  The cells of the four tables (x, x), (x, y),
-    (y, x) and (y, y) share one denominator d, and the values of x and y
-    share one denominator c, so that p(x(t), y(s)) = xy[i][j] / d with
-    t = X[i] / c and s = Y[j] / c.  A mean is then an integer over c d, a
-    first joint moment one over c^2 d and a covariance one over (c d)^2.
+    (y, x) and (y, y) are numerators over p's denominator d, and the values
+    of x and y share one denominator c, so that p(x(t), y(s)) = xy[i][j] / d
+    with t = X[i] / c and s = Y[j] / c.  A mean is then an integer over c d,
+    a first joint moment one over c^2 d and a covariance one over (c d)^2.
     """
 
     def __init__(self, p: SMap, x: DiscreteObservable, y: DiscreteObservable):
         self.x, self.y = x, y
-        values, n = p.values, len(x.elements)
-        events = x.elements + y.elements
-        block = [[values[e, f] for f in events] for e in events]
-        self.cells_xy = [row[n:] for row in block[:n]]
-        self.cells_yx = [row[:n] for row in block[n:]]
-        scaled, d = common_denominator(block)
-        (z,), c = common_denominator([x.spectrum + y.spectrum])
+        n, rows, d = len(x.elements), p.rows(), p.den
+        events = [p.logic.index(e) for e in x.elements + y.elements]
+        cells = [[rows[e][f] for f in events] for e in events]
+        z, c = common_denominator(x.spectrum + y.spectrum)
         self.X, self.Y, self.c, self.d = z[:n], z[n:], c, d
-        xx = [row[:n] for row in scaled[:n]]
-        self.xy = [row[n:] for row in scaled[:n]]
-        self.yx = [row[:n] for row in scaled[n:]]
-        yy = [row[n:] for row in scaled[n:]]
+        xx = [row[:n] for row in cells[:n]]
+        self.xy = [row[n:] for row in cells[:n]]
+        self.yx = [row[:n] for row in cells[n:]]
+        yy = [row[n:] for row in cells[n:]]
         self.nu_x = [row[i] for i, row in enumerate(xx)]
         self.nu_y = [row[j] for j, row in enumerate(yy)]
         self.sx, self.sy = _dot(self.X, self.nu_x), _dot(self.Y, self.nu_y)
@@ -248,20 +234,43 @@ class _PairStats:
         self.cxy = d * self.mxy - self.sx * self.sy
         self.cyx = d * self.myx - self.sy * self.sx
         self.vy = d * _form(self.Y, self.Y, yy) - self.sy * self.sy
-        # the same as Fractions; the variances are not checked yet
-        cd = c * d
-        self.mean_x, self.mean_y = Fraction(self.sx, cd), Fraction(self.sy, cd)
-        self.moment_xy = Fraction(self.mxy, c * cd)
-        self.moment_yx = Fraction(self.myx, c * cd)
-        self.matrix = CovarianceMatrix(*(Fraction(v, cd * cd) for v in
-                                         (self.vx, self.cxy, self.cyx, self.vy)))
+
+    @cached_property
+    def matrix(self) -> CovarianceMatrix:
+        """The covariance matrix as Fractions; variances not checked yet."""
+        cd2 = (self.c * self.d) ** 2
+        return CovarianceMatrix(*(Fraction(v, cd2) for v in
+                                  (self.vx, self.cxy, self.cyx, self.vy)))
+
+    @property
+    def means(self) -> tuple[Fraction, Fraction]:
+        cd = self.c * self.d
+        return Fraction(self.sx, cd), Fraction(self.sy, cd)
+
+    @property
+    def moments(self) -> tuple[Fraction, Fraction]:
+        """The first joint moments of (x, y) and of (y, x)."""
+        c2d = self.c * self.c * self.d
+        return Fraction(self.mxy, c2d), Fraction(self.myx, c2d)
+
+    def check_margins(self) -> None:
+        """Assert that the (x, y) and (y, x) tables have the diagonal values
+        as margins; guaranteed by s-map additivity, so a failure here is a
+        library defect."""
+        for cells, nu_u, nu_v in ((self.xy, self.nu_x, self.nu_y),
+                                  (self.yx, self.nu_y, self.nu_x)):
+            assert sum(map(sum, cells)) == self.d
+            assert [sum(row) for row in cells] == nu_u
+            assert [sum(column) for column in zip(*cells)] == nu_v
 
     def joint_tables(self):
         """The (x, y) and (y, x) tables keyed by outcome, margins checked."""
-        return (_joint_table(self.x, self.y, self.cells_xy, self.xy,
-                             self.nu_x, self.nu_y, self.d),
-                _joint_table(self.y, self.x, self.cells_yx, self.yx,
-                             self.nu_y, self.nu_x, self.d))
+        self.check_margins()
+        return tuple({(t, s): Fraction(w, self.d)
+                      for t, row in zip(u.spectrum, cells)
+                      for s, w in zip(v.spectrum, row)}
+                     for u, v, cells in ((self.x, self.y, self.xy),
+                                         (self.y, self.x, self.yx)))
 
 
 def _centered(us, vs, table, d: int, mean_u: int, mean_v: int) -> int:
@@ -310,12 +319,19 @@ class ClassicalRepresentation:
 
 def classical_representation(p: SMap, x: DiscreteObservable,
                              y: DiscreteObservable) -> ClassicalRepresentation:
-    return _classical(_PairStats(p, x, y))
-
-
-def _classical(stats: _PairStats) -> ClassicalRepresentation:
+    stats = _PairStats(p, x, y)
+    cov_1, cov_2 = _classical_covariances(stats)
     measure_xy, measure_yx = stats.joint_tables()
+    scale = stats.c ** 2 * stats.d ** 3
+    return ClassicalRepresentation(
+        tuple(measure_xy), measure_xy, tuple(measure_yx), measure_yx,
+        *stats.means, Fraction(cov_1, scale), Fraction(cov_2, scale))
 
+
+def _classical_covariances(stats: _PairStats) -> tuple[int, int]:
+    """The covariances on the two classical spaces, over c^2 d^3, after
+    asserting that they agree with the lattice route."""
+    stats.check_margins()
     # classical route: weighted sums over each finite sample space, on the
     # integer cells (means over c d, covariances over c^2 d^3)
     X, Y, d = stats.X, stats.Y, stats.d
@@ -336,12 +352,7 @@ def _classical(stats: _PairStats) -> ClassicalRepresentation:
     # Cauchy-Schwarz, cov^2 <= var_x var_y, multiplied through by c^4 d^6
     assert cov_1 * cov_1 <= vx * vy * d * d
     assert cov_2 * cov_2 <= vx * vy * d * d
-
-    scale = stats.c ** 2 * d ** 3
-    return ClassicalRepresentation(
-        tuple(measure_xy), measure_xy, tuple(measure_yx), measure_yx,
-        stats.mean_x, stats.mean_y, Fraction(cov_1, scale),
-        Fraction(cov_2, scale))
+    return cov_1, cov_2
 
 
 # ---------------------------------------------------------------------------
@@ -387,13 +398,14 @@ def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
     independence = {(u, v): p.is_independent_pair(u, v)
                     for u in events for v in events if u != v}
     joint_xy, joint_yx = stats.joint_tables()
+    (nu_x, nu_y), (moment_xy, moment_yx) = stats.means, stats.moments
     return StatsReport(
         x_label=x_label,
         y_label=y_label,
-        nu_x=stats.mean_x,
-        nu_y=stats.mean_y,
-        moment_xy=stats.moment_xy,
-        moment_yx=stats.moment_yx,
+        nu_x=nu_x,
+        nu_y=nu_y,
+        moment_xy=moment_xy,
+        moment_yx=moment_yx,
         cov_xy=m.xy,
         cov_yx=m.yx,
         var_x=m.xx,

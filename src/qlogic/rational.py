@@ -64,14 +64,24 @@ def frac(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
-def common_denominator(rows) -> tuple[list[list[int]], int]:
-    """The rationals in `rows`, a sequence of sequences, as integer
-    numerators over their least common denominator, and that denominator.
-    Sums, equalities and orderings of entries carry over to the numerators.
+def common_denominator(values) -> tuple[tuple, int]:
+    """The rationals in `values` as integer numerators over their least
+    common denominator, and that denominator; None (a missing entry) stays
+    None.  gcd(den, *numerators) is 1, so equal sequences give equal
+    tables, and sums, equalities and orderings carry over to the
+    numerators.
     """
-    den = math.lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (den // v.denominator) for v in row]
-            for row in rows], den
+    den = math.lcm(*(v.denominator for v in values if v is not None))
+    return tuple(None if v is None else v.numerator * (den // v.denominator)
+                 for v in values), den
+
+
+def reduced(num, den: int) -> tuple[tuple[int, ...], int]:
+    """The integer table num / den in lowest terms."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(v // g for v in num), den // g
 
 
 def fmt(q: Fraction) -> str:

@@ -6,12 +6,19 @@ Its diagonal is an ordinary state, and dividing a column by its diagonal
 entry recovers a conditional state; both conversions live here.  Unlike the
 classical joint measure m(a ^ b), an s-map need not be symmetric, which is
 what makes direction-dependent correlation possible.
+
+An s-map is one integer table: the n^2 values as numerators in row-major
+`logic.names` order over one denominator, in lowest terms.  The axiom
+checks, both conversions and the law scans work on that table.  Names and
+Fractions appear only at the boundary: the name-keyed constructor and
+validator, `__call__`, `values`, and the witnesses in errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .errors import (
@@ -21,24 +28,60 @@ from .errors import (
     S1Violation,
     S2Violation,
     S3Violation,
-    ValueOutOfRange,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac
+from .rational import common_denominator, frac, reduced
 from .states import (
     ConditionalState,
-    ConditionalSystem,
     State,
+    _check_cells,
     conditional_system_generated,
 )
 
 
-@dataclass(frozen=True, eq=True)
 class SMap:
-    """A validated s-map, total on ordered pairs of elements."""
+    """A validated s-map, total on ordered pairs of elements.
 
-    logic: QuantumLogic
-    values: dict
+    `num` holds p(a, b) for a, b in `logic.names`, row-major, as integer
+    numerators over `den` in lowest terms, so equal s-maps have equal
+    tables.  `values` holds the same numbers as Fractions keyed by (a, b).
+    """
+
+    def __init__(self, logic: QuantumLogic, values):
+        """Read a table {(a, b): Fraction}, unvalidated, and keep its cells
+        as `values`; a cell it lacks is None in `num`."""
+        names = logic.names
+        self.logic = logic
+        self.values = {(a, b): values[a, b] for a in names for b in names
+                       if (a, b) in values}
+        self.num, self.den = common_denominator([self.values.get((a, b))
+                                                 for a in names for b in names])
+
+    @classmethod
+    def from_table(cls, logic: QuantumLogic, num, den: int) -> "SMap":
+        """Wrap row-major numerators over `den`, reduced to lowest terms;
+        nothing is validated."""
+        self = cls.__new__(cls)
+        self.logic = logic
+        self.num, self.den = reduced(num, den)
+        return self
+
+    @cached_property
+    def values(self) -> dict:
+        names, den = self.logic.names, self.den
+        pairs = ((a, b) for a in names for b in names)
+        return {key: Fraction(v, den) for key, v in zip(pairs, self.num)}
+
+    def rows(self) -> list:
+        """The numerators, one tuple per row, indexed like `logic.names`."""
+        n, num = len(self.logic), self.num
+        return [num[r * n:(r + 1) * n] for r in range(n)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SMap):
+            return NotImplemented
+        return (self.logic == other.logic and self.den == other.den
+                and self.num == other.num)
 
     def __call__(self, a: str, b: str) -> Fraction:
         try:
@@ -48,7 +91,9 @@ class SMap:
 
     def diagonal_state(self) -> State:
         """The marginal state b -> p(b, b); always valid for a valid s-map."""
-        return State(self.logic, {b: self.values[b, b] for b in self.logic.names})
+        diagonal = self.num[::len(self.logic) + 1]
+        return State(self.logic, {b: Fraction(v, self.den)
+                                  for b, v in zip(self.logic.names, diagonal)})
 
     def is_independent_pair(self, b: str, a: str) -> bool:
         """Product factorization p(b, a) = p(a, a) p(b, b), exactly.
@@ -57,53 +102,52 @@ class SMap:
         this s-map generates, conditioned on 1.  The relation is not
         symmetric in (b, a).
         """
-        return self.values[b, a] == self.values[a, a] * self.values[b, b]
+        n, num = len(self.logic), self.num
+        i, j = self.logic.index(b), self.logic.index(a)
+        return num[i * n + j] * self.den == num[j * n + j] * num[i * n + i]
 
 
 def validate_smap(logic: QuantumLogic, values) -> SMap:
     """Check normalization, vanishing on orthogonal pairs, and additivity
-    in both arguments.  Witnesses are reported in element-index order.
-
-    The additivity checks run on integer numerators over the table's
-    common denominator; witnesses are rebuilt as exact Fractions.
-    """
+    in both arguments.  Witnesses are reported in element-index order."""
     table = {}
     for (a, b), v in values.items():
         logic.index(a)
         logic.index(b)
         table[a, b] = frac(v)
+    p = SMap(logic, table)
+    _check_smap(logic, p.num, p.den)
+    return p
+
+
+def _check_smap(logic: QuantumLogic, num, den: int) -> None:
+    """Check the s-map axioms on a row-major table of numerators over
+    `den`, None where the input had no entry.  Witnesses are rebuilt as
+    exact Fractions."""
     names = logic.names
     n = len(names)
-    flat = [table.get((a, b)) for a in names for b in names]  # row-major
-    for cell, v in enumerate(flat):
-        if v is None:
-            raise MissingTableEntry("s-map", (names[cell // n], names[cell % n]))
-        if not 0 <= v.numerator <= v.denominator:
-            raise ValueOutOfRange("s-map", (names[cell // n], names[cell % n]), v)
-    if table[ONE, ONE] != 1:
-        raise S1Violation(table[ONE, ONE])
+    _check_cells("s-map", lambda c: (names[c // n], names[c % n]), num, den)
+    top = logic.index(ONE) * (n + 1)
+    if num[top] != den:
+        raise S1Violation(Fraction(num[top], den))
     pairs = logic._orth_pairs
     nonzero = [(r, c) for i, j, _ in pairs for r, c in ((i, j), (j, i))
-               if flat[r * n + c]]
+               if num[r * n + c]]
     if nonzero:
         r, c = min(nonzero)
-        raise S2Violation(names[r], names[c], flat[r * n + c])
-    (num,), den = common_denominator([flat])
+        raise S2Violation(names[r], names[c], Fraction(num[r * n + c], den))
     rows = [num[r * n:(r + 1) * n] for r in range(n)]
     cols = [num[c::n] for c in range(n)]
     for i, j, k in pairs:
-        if (rows[k] == list(map(add, rows[i], rows[j]))
-                and cols[k] == list(map(add, cols[i], cols[j]))):
+        if (rows[k] == tuple(map(add, rows[i], rows[j]))
+                and cols[k] == tuple(map(add, cols[i], cols[j]))):
             continue
-        a, b = names[i], names[j]
         for c in range(n):  # first failure: left before right at each c
-            if rows[k][c] != rows[i][c] + rows[j][c]:
-                raise S3Violation("left", a, b, names[c], flat[k * n + c],
-                                  flat[i * n + c] + flat[j * n + c])
-            if cols[k][c] != cols[i][c] + cols[j][c]:
-                raise S3Violation("right", a, b, names[c], flat[c * n + k],
-                                  flat[c * n + i] + flat[c * n + j])
-    return SMap(logic, table)
+            for side, lines in (("left", rows), ("right", cols)):
+                lhs, rhs = lines[k][c], lines[i][c] + lines[j][c]
+                if lhs != rhs:
+                    raise S3Violation(side, names[i], names[j], names[c],
+                                      Fraction(lhs, den), Fraction(rhs, den))
 
 
 def smap_from_conditional(f: ConditionalState) -> SMap:
@@ -114,33 +158,55 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
     for b in logic.nonzero_elements:
         if b not in f.cs:
             raise DomainTooSmall(b)
-    values = {}
-    for a in logic.names:
-        values[a, ZERO] = Fraction(0)
-        for b in logic.nonzero_elements:
-            values[a, b] = f(a, b) * f(b, ONE)
-    return SMap(logic, values)
+    n, columns = len(logic), f.columns
+    one, d_one = columns[logic.index(ONE)]
+    # with column b = N_b / d_b, p(a, b) = N_b[a] N_1[b] / (d_b d_1), which
+    # is N_b[a] w_b over d_1 lcm(d_b), w_b as below (column 0 vanishes)
+    common = math.lcm(*(d for _, d in columns.values()))
+    scaled = [columns.get(b, ((0,) * n, 1)) for b in range(n)]
+    weights = [one[b] * (common // d) for b, (_, d) in enumerate(scaled)]
+    num = [column[a] * w for a in range(n)
+           for (column, _), w in zip(scaled, weights)]
+    return _named_like(f, SMap.from_table(logic, num, d_one * common))
 
 
 def conditional_from_smap(p: SMap) -> ConditionalState:
     """Recover the conditional state f(a | b) = p(a, b) / p(b, b) on the
-    events with positive diagonal.
+    events with positive diagonal: column b of f is column b of p's table
+    over the diagonal numerator.
 
     The positive-diagonal set is join-closed (the diagonal is a monotone
     state), but a vanishing relative complement would leave it without the
     closure a conditional system needs; that degenerate case is rejected.
     """
-    logic = p.logic
-    nu = p.diagonal_state()
-    members = frozenset(b for b in logic.nonzero_elements if nu(b) > 0)
+    logic, num = p.logic, p.num
+    n, names = len(logic), logic.names
+    diagonal = num[::n + 1]
+    inside = [b for b in range(n) if diagonal[b] > 0 and names[b] != ZERO]
+    members = frozenset(names[b] for b in inside)
     closed = conditional_system_generated(logic, members)
     extra = closed.members - members
     if extra:
         raise DegenerateDiagonal(min(extra, key=logic.index))
-    cs = ConditionalSystem(logic, members)
-    values = {(a, b): p(a, b) / nu(b)
-              for b in cs.sorted_members() for a in logic.names}
-    return ConditionalState(logic, cs, values)
+    return _named_like(p, ConditionalState.from_columns(
+        logic, closed, {b: (num[b::n], diagonal[b]) for b in inside}))
+
+
+def _named_like(source, result):
+    """`result`, with its name-keyed `values` built at once if `source`
+    already has them; a conversion of a sampled table stays a table.
+
+    A conversion of an object read from names is read by name next
+    (emitted or compared), so it builds its Fractions here, as the
+    name-keyed implementation did.  Built later, thousands of new objects
+    arrive while the caller still holds the request's other objects; the
+    garbage collector then moves those to its oldest generation, where
+    they outlive the request.  On the wide-lattices benchmark workload that
+    raised peak memory by 30%.
+    """
+    if "values" in vars(source):
+        result.values  # builds and caches the dict
+    return result
 
 
 def classical_smap(m: State) -> SMap:

@@ -6,14 +6,19 @@ conditioning event a, where the admissible conditioning events form a
 *conditional system*: a set of nonzero elements closed under join and under
 relative complement of comparable pairs.
 
-Everything is exact: values are Fractions and every axiom check is an exact
-equality, so 11/30 stays 11/30.
+Everything is exact, so 11/30 stays 11/30.  A conditional state is one
+integer table, a column of numerators over one denominator per member, and
+its axiom checks are integer identities on that table.  Names and Fractions
+appear only at the boundary: the name-keyed constructor and validator,
+`__call__`, `values`, and the witnesses in errors.  A state has n cells,
+not n^2, and keeps its name-keyed dict of Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     AdditivityViolation,
@@ -32,7 +37,7 @@ from .errors import (
     ZeroInSeed,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac
+from .rational import common_denominator, frac, reduced
 
 
 @dataclass(frozen=True, eq=True)
@@ -62,35 +67,40 @@ def validate_state(logic: QuantumLogic, values) -> State:
     for a, v in values.items():
         logic.index(a)  # raises UnknownElementError for stray tokens
         table[a] = frac(v)
-    _check_state_column(logic, [table.get(a) for a in logic.names])
+    _check_state_column(logic, *common_denominator([table.get(a)
+                                                    for a in logic.names]))
     return State(logic, table)
 
 
-def _check_state_column(logic: QuantumLogic, column):
-    """Check the state axioms on `column`, a list of Fractions indexed like
-    `logic.names` with None for a missing entry.
+def _check_cells(kind: str, key, num, den: int) -> None:
+    """Raise for the first cell of `num` (over `den`) that is missing (None)
+    or outside [0, 1]; `key` maps a cell's index to its name for the
+    witness."""
+    if None not in num and 0 <= min(num) and max(num) <= den:
+        return
+    c = next(c for c, v in enumerate(num) if v is None or not 0 <= v <= den)
+    if num[c] is None:
+        raise MissingTableEntry(kind, key(c))
+    raise ValueOutOfRange(kind, key(c), Fraction(num[c], den))
+
+
+def _check_state_column(logic: QuantumLogic, num, den: int) -> None:
+    """Check the state axioms on one column: integer numerators over `den`,
+    indexed like `logic.names`, None where the input had no entry.
 
     Witnesses come out in the order of a name-by-name scan: entries, then
-    the bounds, then orthogonal pairs in index order.  Additivity is tested
-    on integer numerators over the column's common denominator; those
-    numerators and the denominator are returned for further identities.
+    the bounds, then orthogonal pairs in index order, as exact Fractions.
     """
     names = logic.names
-    for a, v in zip(names, column):
-        if v is None:
-            raise MissingTableEntry("state", a)
-        if not 0 <= v.numerator <= v.denominator:
-            raise ValueOutOfRange("state", a, v)
+    _check_cells("state", names.__getitem__, num, den)
     for bound, expected in ((ZERO, 0), (ONE, 1)):
-        v = column[logic.index(bound)]
-        if v != expected:
-            raise BoundsViolation(bound, v, expected)
-    (num,), den = common_denominator([column])
+        v = num[logic.index(bound)]
+        if v != expected * den:
+            raise BoundsViolation(bound, Fraction(v, den), expected)
     for i, j, k in logic._orth_pairs:
         if num[k] != num[i] + num[j]:
-            raise AdditivityViolation(names[i], names[j], column[k],
-                                      column[i] + column[j])
-    return num, den
+            raise AdditivityViolation(names[i], names[j], Fraction(num[k], den),
+                                      Fraction(num[i] + num[j], den))
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +179,50 @@ def conditional_system_generated(logic: QuantumLogic, seed) -> ConditionalSystem
 # conditional states
 
 
-@dataclass(frozen=True, eq=True)
 class ConditionalState:
     """A validated two-argument map f(b | a): a state in b for every fixed
     conditioning event a, normalized on the diagonal, with the Bayes-style
-    decomposition over orthogonal conditionings."""
+    decomposition over orthogonal conditionings.
 
-    logic: QuantumLogic
-    cs: ConditionalSystem
-    values: dict
+    `columns` maps each member's index, in index order, to the column
+    f(. | a): numerators indexed like `logic.names` over one denominator,
+    in lowest terms, so equal conditional states have equal tables.
+    `values` holds the same numbers as Fractions keyed by (b, a).
+    """
+
+    def __init__(self, logic: QuantumLogic, cs: ConditionalSystem, values):
+        """Read a table {(b, a): Fraction} over the members a of cs,
+        unvalidated, and keep its entries as `values`; an entry it lacks is
+        None in its column."""
+        names, members = logic.names, cs.sorted_members()
+        self.logic, self.cs = logic, cs
+        self.values = {(b, a): values[b, a] for a in members for b in names
+                       if (b, a) in values}
+        self.columns = {logic.index(a): common_denominator(
+            [self.values.get((b, a)) for b in names]) for a in members}
+
+    @classmethod
+    def from_columns(cls, logic: QuantumLogic, cs: ConditionalSystem,
+                     columns: dict) -> "ConditionalState":
+        """Wrap member index -> (numerators, denominator), reducing each
+        column to lowest terms; nothing is validated."""
+        self = cls.__new__(cls)
+        self.logic, self.cs = logic, cs
+        self.columns = {a: reduced(*column) for a, column in columns.items()}
+        return self
+
+    @cached_property
+    def values(self) -> dict:
+        names = self.logic.names
+        return {(b, names[a]): Fraction(v, den)
+                for a, (num, den) in self.columns.items()
+                for b, v in zip(names, num)}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConditionalState):
+            return NotImplemented
+        return (self.logic == other.logic and self.cs == other.cs
+                and self.columns == other.columns)
 
     def __call__(self, b: str, a: str) -> Fraction:
         try:
@@ -203,19 +248,9 @@ class ConditionalState:
 
 
 def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalState:
-    """Verify all three conditional-state axioms.
-
-    The decomposition axiom is checked on every orthogonal pair of members
-    whose join lies in the conditional system, in index order.  That covers
-    every finite orthogonal family: the system is join-closed, so by
-    induction the pair law at a1 v ... v a(k-1) and ak, together with
-    f(ai | ak) = 0 for orthogonal members, gives the law for a1, ..., ak.
-    The identities are tested on integer numerators over each column's
-    common denominator; witnesses are rebuilt as exact Fractions.
-    """
+    """Verify all three conditional-state axioms on a name-keyed table."""
     if not isinstance(cs, ConditionalSystem):
         cs = validate_conditional_system(logic, cs)
-    members = cs.sorted_members()
     table = {}
     for (b, a), v in values.items():
         logic.index(b)
@@ -223,31 +258,44 @@ def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalSt
             raise InvalidConditionalSystem(
                 f"entry ({b} | {a}) conditions outside the conditional system")
         table[b, a] = frac(v)
+    f = ConditionalState(logic, cs, table)
+    _check_conditional(logic, f.columns)
+    return f
 
+
+def _check_conditional(logic: QuantumLogic, columns: dict) -> None:
+    """Check C1-C3 on `columns`, laid out like `ConditionalState.columns`,
+    with None where the input had no entry.
+
+    The decomposition axiom is checked on every orthogonal pair of members
+    whose join is a member, in index order.  That covers every finite
+    orthogonal family: the system is join-closed, so by induction the pair
+    law at a1 v ... v a(k-1) and ak, together with f(ai | ak) = 0 for
+    orthogonal members, gives the law for a1, ..., ak.  Witnesses are
+    rebuilt as exact Fractions.
+    """
     names = logic.names
-    checked = {}  # member index -> (column, integer numerators, denominator)
-    for a in members:
-        column = [table.get((b, a)) for b in names]
+    for a, (num, den) in columns.items():
         try:
-            checked[logic.index(a)] = (column, *_check_state_column(logic, column))
+            _check_state_column(logic, num, den)
         except ValidationError as exc:
-            raise C1Violation(a, exc) from None
-    for a in members:
-        if table[a, a] != 1:
-            raise C2Violation(a, table[a, a])
+            raise C1Violation(names[a], exc) from None
+    for a, (num, den) in columns.items():
+        if num[a] != den:
+            raise C2Violation(names[a], Fraction(num[a], den))
     # with N_m, d_m the numerators and denominator of column m, the pair law
     # at j = a v c is N_j[b] d_a d_c = N_j[a] d_c N_a[b] + N_j[c] d_a N_c[b]
     for i, k, j in logic._orth_pairs:
-        if i not in checked or k not in checked or j not in checked:
+        if i not in columns or k not in columns or j not in columns:
             continue
-        (col_a, num_a, d_a), (col_c, num_c, d_c) = checked[i], checked[k]
-        col_j, num_j, _ = checked[j]
+        (num_a, d_a), (num_c, d_c), (num_j, d_j) = (columns[i], columns[k],
+                                                    columns[j])
         x, y, z = num_j[i] * d_c, num_j[k] * d_a, d_a * d_c
         for b, (nb_j, nb_a, nb_c) in enumerate(zip(num_j, num_a, num_c)):
             if nb_j * z != x * nb_a + y * nb_c:
-                raise C3Violation((names[i], names[k]), names[b], col_j[b],
-                                  col_j[i] * col_a[b] + col_j[k] * col_c[b])
-    return ConditionalState(logic, cs, table)
+                raise C3Violation((names[i], names[k]), names[b],
+                                  Fraction(nb_j, d_j),
+                                  Fraction(x * nb_a + y * nb_c, d_j * z))
 
 
 def conditional_state_from_partition(logic: QuantumLogic, parts, alphas,

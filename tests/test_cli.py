@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from qlogic.cli import main
+from qlogic import cli
+from qlogic.cli import build_parser, main
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import (
     parse_model,
@@ -315,6 +320,16 @@ def test_gen_size_out_of_range(capsys):
     assert main(["gen", "boolean", "0"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["gen", "boolean", "1", "--seed", "4"],
+                                  ["check", "boolean", "1"]])
+def test_unsampled_lattice_exits_2(capsys, argv):
+    # boolean 1 has a single atom, so it is no horizontal sum to sample on
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block of 1 has a single atom\n"
+
+
 def test_check_passes(capsys):
     assert main(["check", "mo", "2", "--trials", "8", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -356,3 +371,33 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["derive", "somefile"])  # missing required options
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        assert main(["repro", "2.2-printed"]) == 0
+        assert main(["gen", "mo", "2"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "mo", "2", "--trials", "0"])
+        assert exc.value.code == 2
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-m", "qlogic", "repro", "2.1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "repro 2.1: ok (32/32 checks passed)" in done.stdout

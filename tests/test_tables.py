@@ -11,6 +11,7 @@ oracle written here, and block inference with a copy of the name-keyed
 from __future__ import annotations
 
 import hashlib
+import math
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -23,11 +24,15 @@ from qlogic import (
     horizontal_sum,
     infer_blocks,
     random_smap,
+    roundtrip_suite,
     smap_from_conditional,
+    validate_smap,
 )
-from qlogic.errors import UnsupportedLattice
+from qlogic.errors import MissingTableEntry, UnsupportedLattice
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import emit_smap, parse_model_text, realize_model
+from qlogic.smaps import SMap
+from qlogic.states import ConditionalState
 from test_cli import pasting_model
 from test_generators import _product_with_two
 
@@ -215,3 +220,62 @@ def test_infer_blocks_matches_reference(sampled_lattices, pasting12, mo2):
         assert blocks_or_message(infer_blocks, logic) == want, label
         verdicts.add(type(want))
     assert verdicts == {tuple, str}
+
+
+# -- the tables themselves ------------------------------------------------------
+
+
+def test_tables_are_canonical(sampled_lattices):
+    """Built from names or by a producer, equal objects have equal tables:
+    numerators over a denominator they share no factor with."""
+    for logic in sampled_lattices.values():
+        p = random_smap(logic, 11)
+        assert math.gcd(p.den, *p.num) == 1
+        assert SMap(logic, p.values) == p
+        assert SMap(logic, p.values).num == p.num
+        f = conditional_from_smap(p)
+        assert all(math.gcd(den, *num) == 1 for num, den in f.columns.values())
+        assert list(f.columns) == sorted(f.columns)
+        assert ConditionalState(logic, f.cs, f.values) == f
+        assert smap_from_conditional(f) == p
+
+
+def test_name_constructors_keep_holes(example21):
+    """An unvalidated table may lack entries: they read as missing, and the
+    validators reject them at the first hole in index order."""
+    p, f = example21.smaps["p"], example21.conds["f"]
+    short = dict(p.values)
+    del short["a", "b'"], short["b", "a"]
+    partial = SMap(p.logic, short)
+    assert partial.num.count(None) == 2
+    assert partial.values == short
+    with pytest.raises(MissingTableEntry) as exc:
+        partial("a", "b'")
+    assert exc.value.key == ("a", "b'")
+    with pytest.raises(MissingTableEntry) as exc:
+        validate_smap(p.logic, short)
+    assert exc.value.key == ("a", "b'")
+    short = dict(f.values)
+    del short["b", "a'"]
+    partial = ConditionalState(f.logic, f.cs, short)
+    assert partial.values == short
+    with pytest.raises(MissingTableEntry) as exc:
+        partial("b", "a'")
+    assert exc.value.key == ("b", "a'")
+
+
+def test_a_check_trial_stays_on_integers(monkeypatch, mo3):
+    """Sampling, validation, both conversions, the round-trip comparisons
+    and the law scans build no Fraction; only the values of the two
+    observables of the statistics scan are Fractions, by definition."""
+    roundtrip_suite(mo3, 1, 0)  # lattice memos filled
+    built = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting))
+    assert roundtrip_suite(mo3, 10, 5).ok
+    assert len(built) == 10 * 2 * 2  # trials, observables, values each
