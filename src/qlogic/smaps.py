@@ -50,10 +50,10 @@ class SMap:
     def __init__(self, logic: QuantumLogic, values):
         """Read a table {(a, b): Fraction}, unvalidated, and keep its cells
         as `values`; a cell it lacks is None in `num`."""
-        names = logic.names
+        names, index = logic.names, logic._index
         self.logic = logic
-        self.values = {(a, b): values[a, b] for a in names for b in names
-                       if (a, b) in values}
+        self.values = {(a, b): v for (a, b), v in values.items()
+                       if a in index and b in index}
         self.num, self.den = common_denominator([self.values.get((a, b))
                                                  for a in names for b in names])
 
@@ -82,6 +82,9 @@ class SMap:
             return NotImplemented
         return (self.logic == other.logic and self.den == other.den
                 and self.num == other.num)
+
+    def __repr__(self) -> str:
+        return f"SMap(logic={self.logic!r}, values={self.values!r})"
 
     def __call__(self, a: str, b: str) -> Fraction:
         try:
@@ -116,14 +119,14 @@ def validate_smap(logic: QuantumLogic, values) -> SMap:
         logic.index(b)
         table[a, b] = frac(v)
     p = SMap(logic, table)
-    _check_smap(logic, p.num, p.den)
+    _check_smap(p)
     return p
 
 
-def _check_smap(logic: QuantumLogic, num, den: int) -> None:
-    """Check the s-map axioms on a row-major table of numerators over
-    `den`, None where the input had no entry.  Witnesses are rebuilt as
-    exact Fractions."""
+def _check_smap(p: SMap) -> None:
+    """Check the s-map axioms on p's table, where None marks a cell the
+    input lacked.  Witnesses are rebuilt as exact Fractions."""
+    logic, num, den = p.logic, p.num, p.den
     names = logic.names
     n = len(names)
     _check_cells("s-map", lambda c: (names[c // n], names[c % n]), num, den)
@@ -136,8 +139,7 @@ def _check_smap(logic: QuantumLogic, num, den: int) -> None:
     if nonzero:
         r, c = min(nonzero)
         raise S2Violation(names[r], names[c], Fraction(num[r * n + c], den))
-    rows = [num[r * n:(r + 1) * n] for r in range(n)]
-    cols = [num[c::n] for c in range(n)]
+    rows, cols = p.rows(), [num[c::n] for c in range(n)]
     for i, j, k in pairs:
         if (rows[k] == tuple(map(add, rows[i], rows[j]))
                 and cols[k] == tuple(map(add, cols[i], cols[j]))):

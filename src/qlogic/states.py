@@ -194,12 +194,13 @@ class ConditionalState:
         """Read a table {(b, a): Fraction} over the members a of cs,
         unvalidated, and keep its entries as `values`; an entry it lacks is
         None in its column."""
-        names, members = logic.names, cs.sorted_members()
+        names, index = logic.names, logic._index
         self.logic, self.cs = logic, cs
-        self.values = {(b, a): values[b, a] for a in members for b in names
-                       if (b, a) in values}
+        self.values = {(b, a): v for (b, a), v in values.items()
+                       if b in index and a in cs}
         self.columns = {logic.index(a): common_denominator(
-            [self.values.get((b, a)) for b in names]) for a in members}
+            [self.values.get((b, a)) for b in names])
+            for a in cs.sorted_members()}
 
     @classmethod
     def from_columns(cls, logic: QuantumLogic, cs: ConditionalSystem,
@@ -223,6 +224,10 @@ class ConditionalState:
             return NotImplemented
         return (self.logic == other.logic and self.cs == other.cs
                 and self.columns == other.columns)
+
+    def __repr__(self) -> str:
+        return (f"ConditionalState(logic={self.logic!r}, cs={self.cs!r}, "
+                f"values={self.values!r})")
 
     def __call__(self, b: str, a: str) -> Fraction:
         try:
@@ -259,13 +264,13 @@ def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalSt
                 f"entry ({b} | {a}) conditions outside the conditional system")
         table[b, a] = frac(v)
     f = ConditionalState(logic, cs, table)
-    _check_conditional(logic, f.columns)
+    _check_conditional(f)
     return f
 
 
-def _check_conditional(logic: QuantumLogic, columns: dict) -> None:
-    """Check C1-C3 on `columns`, laid out like `ConditionalState.columns`,
-    with None where the input had no entry.
+def _check_conditional(f: ConditionalState) -> None:
+    """Check C1-C3 on f's columns, where None marks an entry the input
+    lacked.
 
     The decomposition axiom is checked on every orthogonal pair of members
     whose join is a member, in index order.  That covers every finite
@@ -274,6 +279,7 @@ def _check_conditional(logic: QuantumLogic, columns: dict) -> None:
     orthogonal members, gives the law for a1, ..., ak.  Witnesses are
     rebuilt as exact Fractions.
     """
+    logic, columns = f.logic, f.columns
     names = logic.names
     for a, (num, den) in columns.items():
         try:
