@@ -178,7 +178,7 @@ def cmd_stats(args) -> int:
         y = realize_observable(logic, parsed.table("observable", args.y))
     except QLogicError as exc:
         return _fail(str(exc), 1)
-    stats = compute_stats(p, x, y, x_label=args.x, y_label=args.y)
+    stats = compute_stats(p, x, y)
 
     x_vals = ", ".join(fmt(t) for t in x.spectrum)
     y_vals = ", ".join(fmt(s) for s in y.spectrum)

@@ -112,8 +112,7 @@ class ZeroInSeed(ValidationError):
 
 
 class InvalidConditionalSystem(ValidationError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class C1Violation(ValidationError):
@@ -176,8 +175,7 @@ class AlphaNotConcentrated(QLogicError):
 
 
 class WeightsInvalid(QLogicError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    pass
 
 
 class PreconditionFailed(QLogicError):

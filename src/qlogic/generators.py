@@ -307,14 +307,14 @@ def _join_all(logic: QuantumLogic, indices) -> int:
     return out
 
 
-def distributivity_scan(logic: QuantumLogic, family_sizes=(2, 3)) -> str | None:
+def distributivity_scan(logic: QuantumLogic) -> str | None:
     """Check b ^ (v a_i) = v (a_i ^ b) for families of elements all
-    compatible with b, exhaustively for the given family sizes."""
+    compatible with b, exhaustively for families of 2 and 3."""
     names, meet = logic.names, logic._meet
     compatible = _compatibility(logic)
     # bit a of masks[b] is set when b is compatible with a
     masks = [sum(1 << a for a, ok in enumerate(row) if ok) for row in compatible]
-    for r in family_sizes:
+    for r in (2, 3):
         for family in combinations(range(len(names)), r):
             bits = sum(1 << a for a in family)
             joined = _join_all(logic, family)
@@ -498,9 +498,6 @@ def roundtrip_suite(logic: QuantumLogic, trials: int, seed: int) -> SuiteReport:
         p2 = smap_from_conditional(f)
         if p2 != p:
             return "s-map -> conditional -> s-map is not the identity"
-        f2 = conditional_from_smap(p2)
-        if f2 != f:
-            return "conditional -> s-map -> conditional is not the identity"
         return (smap_law_scan(p)
                 or product_equivalence_scan(p, f)
                 or independence_law_scan(f)

@@ -69,7 +69,6 @@ SECTION_KINDS = ("state", "cond", "smap", "observable")
 class ParsedModel:
     """Syntax-checked file content, before any axiom is tested."""
 
-    source: str
     elements: list = field(default_factory=list)
     order: list = field(default_factory=list)
     complements: list = field(default_factory=list)
@@ -140,8 +139,8 @@ def _split_sections(text: str):
     return groups
 
 
-def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
-    parsed = ParsedModel(source)
+def parse_model_text(text: str) -> ParsedModel:
+    parsed = ParsedModel()
     groups = _split_sections(text)
 
     logic_group = None
@@ -168,7 +167,7 @@ def parse_model_text(text: str, source: str = "<string>") -> ParsedModel:
         else:
             raise ParseError(lineno, f"unknown section kind {kind!r}")
     if logic_group is None:
-        raise ParseError(0, "no [logic] section")
+        raise ParseError(None, "no [logic] section")
 
     _parse_logic(parsed, logic_group)
     known = set(parsed.elements) | {ZERO, ONE}
@@ -249,7 +248,7 @@ def _parse_logic(parsed: ParsedModel, body) -> None:
 
 def parse_model(path) -> ParsedModel:
     with open(path, encoding="utf-8") as handle:
-        return parse_model_text(handle.read(), source=str(path))
+        return parse_model_text(handle.read())
 
 
 # ---------------------------------------------------------------------------

@@ -363,8 +363,6 @@ def _classical_covariances(stats: _PairStats) -> tuple[int, int]:
 class StatsReport:
     """Everything the statistics pipeline computes for one pair (x, y)."""
 
-    x_label: str
-    y_label: str
     nu_x: Fraction
     nu_y: Fraction
     moment_xy: Fraction
@@ -383,8 +381,8 @@ class StatsReport:
     notes: tuple
 
 
-def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
-                  x_label: str = "x", y_label: str = "y") -> StatsReport:
+def compute_stats(p: SMap, x: DiscreteObservable,
+                  y: DiscreteObservable) -> StatsReport:
     stats = _PairStats(p, x, y)
     m = _checked(stats.matrix)
     notes = []
@@ -400,8 +398,6 @@ def compute_stats(p: SMap, x: DiscreteObservable, y: DiscreteObservable,
     joint_xy, joint_yx = stats.joint_tables()
     (nu_x, nu_y), (moment_xy, moment_yx) = stats.means, stats.moments
     return StatsReport(
-        x_label=x_label,
-        y_label=y_label,
         nu_x=nu_x,
         nu_y=nu_y,
         moment_xy=moment_xy,

@@ -87,7 +87,7 @@ def fixture_text(ident: str) -> str:
 
 
 def _load(ident: str):
-    return parse_model_text(fixture_text(ident), source=FIXTURES[ident])
+    return parse_model_text(fixture_text(ident))
 
 
 def _check_stats(report, stats, expected, r_xy: float, r_yx: float) -> None:

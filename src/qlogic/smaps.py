@@ -11,7 +11,9 @@ An s-map is one integer table: the n^2 values as numerators in row-major
 `logic.names` order over one denominator, in lowest terms.  The axiom
 checks, both conversions and the law scans work on that table.  Names and
 Fractions appear only at the boundary: the name-keyed constructor and
-validator, `__call__`, `values`, and the witnesses in errors.
+validator, `__call__`, `values`, and the witnesses in errors.  The
+constructor resolves names and coerces values but checks no axiom; the
+validator is the constructor followed by `_check_smap`.
 """
 
 from __future__ import annotations
@@ -48,13 +50,17 @@ class SMap:
     """
 
     def __init__(self, logic: QuantumLogic, values):
-        """Read a table {(a, b): Fraction}, unvalidated, and keep its cells
-        as `values`; a cell it lacks is None in `num`."""
-        names, index = logic.names, logic._index
+        """Read {(a, b): value} in one pass, entry by entry: resolve a and
+        b, then coerce the value with `frac`.  A cell the table lacks is
+        None in `num`."""
+        index, names = logic.index, logic.names
         self.logic = logic
-        self.values = {(a, b): v for (a, b), v in values.items()
-                       if a in index and b in index}
-        self.num, self.den = common_denominator([self.values.get((a, b))
+        self.values = table = {}
+        for (a, b), v in values.items():
+            index(a)
+            index(b)
+            table[a, b] = frac(v)
+        self.num, self.den = common_denominator([table.get((a, b))
                                                  for a in names for b in names])
 
     @classmethod
@@ -113,12 +119,7 @@ class SMap:
 def validate_smap(logic: QuantumLogic, values) -> SMap:
     """Check normalization, vanishing on orthogonal pairs, and additivity
     in both arguments.  Witnesses are reported in element-index order."""
-    table = {}
-    for (a, b), v in values.items():
-        logic.index(a)
-        logic.index(b)
-        table[a, b] = frac(v)
-    p = SMap(logic, table)
+    p = SMap(logic, values)
     _check_smap(p)
     return p
 

@@ -10,8 +10,11 @@ Everything is exact, so 11/30 stays 11/30.  A conditional state is one
 integer table, a column of numerators over one denominator per member, and
 its axiom checks are integer identities on that table.  Names and Fractions
 appear only at the boundary: the name-keyed constructor and validator,
-`__call__`, `values`, and the witnesses in errors.  A state has n cells,
-not n^2, and keeps its name-keyed dict of Fractions.
+`__call__`, `values`, and the witnesses in errors.  The constructor
+resolves names, refuses events outside the system and coerces values but
+checks no axiom; the validator is the constructor followed by
+`_check_conditional`.  A state has n cells, not n^2, and keeps its
+name-keyed dict of Fractions.
 """
 
 from __future__ import annotations
@@ -191,16 +194,20 @@ class ConditionalState:
     """
 
     def __init__(self, logic: QuantumLogic, cs: ConditionalSystem, values):
-        """Read a table {(b, a): Fraction} over the members a of cs,
-        unvalidated, and keep its entries as `values`; an entry it lacks is
-        None in its column."""
-        names, index = logic.names, logic._index
+        """Read {(b, a): value} in one pass, entry by entry: resolve b,
+        refuse an a outside cs, then coerce the value with `frac`.  An
+        entry the table lacks is None in its column."""
+        index, names = logic.index, logic.names
         self.logic, self.cs = logic, cs
-        self.values = {(b, a): v for (b, a), v in values.items()
-                       if b in index and a in cs}
-        self.columns = {logic.index(a): common_denominator(
-            [self.values.get((b, a)) for b in names])
-            for a in cs.sorted_members()}
+        self.values = table = {}
+        for (b, a), v in values.items():
+            index(b)
+            if a not in cs:
+                raise InvalidConditionalSystem(
+                    f"entry ({b} | {a}) conditions outside the conditional system")
+            table[b, a] = frac(v)
+        self.columns = {index(a): common_denominator(
+            [table.get((b, a)) for b in names]) for a in cs.sorted_members()}
 
     @classmethod
     def from_columns(cls, logic: QuantumLogic, cs: ConditionalSystem,
@@ -256,14 +263,7 @@ def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalSt
     """Verify all three conditional-state axioms on a name-keyed table."""
     if not isinstance(cs, ConditionalSystem):
         cs = validate_conditional_system(logic, cs)
-    table = {}
-    for (b, a), v in values.items():
-        logic.index(b)
-        if a not in cs:
-            raise InvalidConditionalSystem(
-                f"entry ({b} | {a}) conditions outside the conditional system")
-        table[b, a] = frac(v)
-    f = ConditionalState(logic, cs, table)
+    f = ConditionalState(logic, cs, values)
     _check_conditional(f)
     return f
 

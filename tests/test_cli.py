@@ -12,6 +12,7 @@ import pytest
 
 from qlogic import cli
 from qlogic.cli import build_parser, main
+from qlogic.generators import SuiteReport
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import (
     parse_model,
@@ -73,6 +74,13 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_validate_without_logic_names_no_line(tmp_path, capsys):
+    bad = tmp_path / "bare.qlm"
+    bad.write_text("[state m]\n", encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: no [logic] section\n"
+
+
 @pytest.mark.parametrize("literal", ["1e-20000", "1e+1000000", "0." + "1" * 300],
                          ids=["small-exponent", "large-exponent", "long"])
 def test_validate_oversized_literal_exits_2(tmp_path, capsys, literal):
@@ -119,6 +127,19 @@ def test_derive_smap_to_cond(files, capsys):
 
 def test_derive_missing_section(files, capsys):
     assert main(["derive", files["2.1"], "--from", "smap", "--name", "q"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive", "{}", "--from", "smap", "--name", "p"],
+    ["stats", "{}", "--smap", "p", "--x", "x", "--y", "y"],
+], ids=["derive", "stats"])
+def test_unparsable_file_exits_2(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.qlm"
+    bad.write_text("[logic]\nelements 0 1 x\nfrobnicate\n", encoding="utf-8")
+    assert main([arg.format(bad) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "line 3: unknown directive" in captured.err
 
 
 def test_derive_invalid_input_exits_1(files, capsys):
@@ -184,6 +205,14 @@ def test_stats_degenerate_variance_warns(tmp_path, capsys):
     got = machine_values(out)
     assert "r_xy" not in got and "r_yx" not in got
     assert got["var_x"] == "0"
+
+
+def test_stats_invalid_smap_exits_1(files, capsys):
+    assert main(["stats", files["2.2-printed"], "--smap", "p",
+                 "--x", "x", "--y", "y"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s3" in captured.err
 
 
 def test_stats_missing_observable(files, capsys):
@@ -339,6 +368,21 @@ def test_check_passes(capsys):
 
 def test_check_boolean(capsys):
     assert main(["check", "boolean", "2", "--trials", "5"]) == 0
+
+
+@pytest.mark.parametrize("scan,failing,line", [
+    ("oracle_scan", lambda logic: "a ~ b disagree",
+     "compatibility oracle: FAIL (a ~ b disagree)"),
+    ("distributivity_scan", lambda logic: "b=a, family=('a', 'b')",
+     "distributivity over compatible joins: FAIL (b=a, family=('a', 'b'))"),
+    ("roundtrip_suite",
+     lambda logic, trials, seed: SuiteReport(trials, trials - 1, 1, "trial 2"),
+     "first failure: trial 2"),
+], ids=["oracle", "distributivity", "roundtrip"])
+def test_check_reports_a_failing_scan(monkeypatch, capsys, scan, failing, line):
+    monkeypatch.setattr(cli, scan, failing)
+    assert main(["check", "mo", "2", "--trials", "4"]) == 1
+    assert line in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])

@@ -20,6 +20,8 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # -W error: a warning the demo triggers fails it
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
     assert done.returncode == 0, done.stderr

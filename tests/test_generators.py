@@ -23,6 +23,7 @@ from qlogic import (
     validate_smap,
     validate_state,
 )
+from qlogic import generators
 from qlogic.errors import SizeOutOfRange, UnsupportedLattice
 from qlogic.generators import DENOMINATOR_BOUND
 
@@ -192,6 +193,23 @@ def test_roundtrip_suite_reports(mo2):
     assert report.failed == 0
     assert report.first_failure is None
     assert report.ok
+
+
+def test_roundtrip_suite_counts_and_formats_failures(monkeypatch, mo2):
+    verdicts = iter([None, "law broken", None, "law broken again"])
+    monkeypatch.setattr(generators, "smap_law_scan",
+                        lambda p: next(verdicts))
+    seeds, sample = [], generators.random_smap
+
+    def recording(logic, seed):
+        seeds.append(seed)
+        return sample(logic, seed)
+
+    monkeypatch.setattr(generators, "random_smap", recording)
+    report = roundtrip_suite(mo2, 4, seed=17)
+    assert (report.trials, report.passed, report.failed) == (4, 2, 2)
+    assert not report.ok
+    assert report.first_failure == f"trial 1 (seed {seeds[1]}): law broken"
 
 
 def test_roundtrip_suite_on_boolean():

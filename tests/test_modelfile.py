@@ -138,12 +138,38 @@ def test_inconsistent_explicit_bound_row_caught(mo2):
      "expected 'a , b"),
     ("[logic]\nelements 0 1 x y\ncomplement x y\n[observable o]\n1 = x\n", 5,
      "value -> element"),
+    ("[]\n", 1, "empty section header"),
+    ("[logic x]\n", 1, "takes no name"),
+    ("[state]\n", 1, "needs exactly one name"),
+    ("[state m]\n", None, "no [logic] section"),
+    ("[logic]\nelements\n", 2, "lists names"),
+    ("[logic]\nelements 0 1 a\norder a\n", 3, "order takes two"),
 ])
 def test_parse_errors(text, line, needle):
     with pytest.raises(ParseError) as exc:
         parse_model_text(text)
     assert exc.value.line == line
     assert needle in str(exc.value)
+
+
+def test_missing_logic_section_names_no_line():
+    with pytest.raises(ParseError) as exc:
+        parse_model_text("[state m]\na = 1\n")
+    assert str(exc.value) == "no [logic] section"
+
+
+def test_bounds_may_be_left_out_of_elements():
+    model = realize_model(parse_model_text(MINIMAL.replace("0 1 a a'", "a a'")))
+    assert model.logic.names == ("a", "a'", ZERO, ONE)
+    assert model.states["m"](ONE) == 1
+
+
+def test_empty_smap_on_the_two_element_logic():
+    # no complement pair between 0 and 1 to add over: p(1, 1) = 1 is set
+    model = realize_model(parse_model_text("[logic]\nelements 0 1\n[smap p]\n"))
+    p = model.smaps["p"]
+    assert p(ONE, ONE) == 1
+    assert p(ZERO, ONE) == p(ONE, ZERO) == p(ZERO, ZERO) == 0
 
 
 def test_unknown_element_token():

@@ -28,7 +28,12 @@ from qlogic import (
     smap_from_conditional,
     validate_smap,
 )
-from qlogic.errors import MissingTableEntry, UnsupportedLattice
+from qlogic.errors import (
+    InvalidConditionalSystem,
+    MissingTableEntry,
+    UnknownElementError,
+    UnsupportedLattice,
+)
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import emit_smap, parse_model_text, realize_model
 from qlogic.smaps import SMap
@@ -262,6 +267,37 @@ def test_name_constructors_keep_holes(example21):
     with pytest.raises(MissingTableEntry) as exc:
         partial("b", "a'")
     assert exc.value.key == ("b", "a'")
+
+
+def test_name_constructors_resolve_names_and_coerce_values(example21):
+    """Built from names, each entry in input order has its names resolved,
+    then (for a conditional state) its event checked against the system,
+    then its value coerced with `frac`, as the validators do."""
+    p, f = example21.smaps["p"], example21.conds["f"]
+    logic, cs = p.logic, f.cs
+    q = SMap(logic, {("b", "a'"): 3, ("a", "a"): "1/2"})
+    assert list(q.values.items()) == [(("b", "a'"), F(3)), (("a", "a"), F(1, 2))]
+    assert q("a", "a") == F(1, 2) and q.num.count(None) == len(q.num) - 2
+    g = ConditionalState(logic, cs, {("a", "b"): "0.25", ("1", "b"): 1})
+    assert g.values == {("a", "b"): F(1, 4), ("1", "b"): F(1)}
+    assert g.columns[logic.index("b")][0][logic.index("a")] == 1
+
+    with pytest.raises(TypeError, match="refusing float"):
+        SMap(logic, {("a", "a"): 0.5})
+    with pytest.raises(TypeError, match="refusing float"):
+        ConditionalState(logic, cs, {("a", "b"): 0.5})
+    with pytest.raises(UnknownElementError) as exc:
+        SMap(logic, {("a", "zz"): 0.5})  # the name is read before the value
+    assert exc.value.token == "zz"
+    with pytest.raises(UnknownElementError) as exc:
+        ConditionalState(logic, cs, {("zz", "b"): 0})
+    assert exc.value.token == "zz"
+    with pytest.raises(TypeError):  # the first entry fails first
+        SMap(logic, {("a", "a"): 0.5, ("zz", "a"): 0})
+    with pytest.raises(InvalidConditionalSystem) as exc:
+        ConditionalState(logic, cs, {("a", "b"): 0, ("b", "0"): "x"})
+    assert str(exc.value) == ("entry (b | 0) conditions outside the "
+                              "conditional system")
 
 
 def test_a_check_trial_stays_on_integers(monkeypatch, mo3):
