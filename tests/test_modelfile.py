@@ -152,12 +152,6 @@ def test_parse_errors(text, line, needle):
     assert needle in str(exc.value)
 
 
-def test_missing_logic_section_names_no_line():
-    with pytest.raises(ParseError) as exc:
-        parse_model_text("[state m]\na = 1\n")
-    assert str(exc.value) == "no [logic] section"
-
-
 def test_bounds_may_be_left_out_of_elements():
     model = realize_model(parse_model_text(MINIMAL.replace("0 1 a a'", "a a'")))
     assert model.logic.names == ("a", "a'", ZERO, ONE)
