@@ -86,10 +86,6 @@ def fixture_text(ident: str) -> str:
         encoding="utf-8")
 
 
-def _load(ident: str):
-    return parse_model_text(fixture_text(ident))
-
-
 def _check_stats(report, stats, expected, r_xy: float, r_yx: float) -> None:
     for key, want in expected.items():
         got = getattr(stats, key)
@@ -102,7 +98,7 @@ def _check_stats(report, stats, expected, r_xy: float, r_yx: float) -> None:
 
 
 def _repro_21(report: ReproReport) -> None:
-    model = realize_model(_load("2.1"))
+    model = realize_model(parse_model_text(fixture_text("2.1")))
     f = model.conds["f"]
     p = model.smaps["p"]
     x, y = model.observables["x"], model.observables["y"]
@@ -131,7 +127,7 @@ def _repro_21(report: ReproReport) -> None:
 
 
 def _repro_22_printed(report: ReproReport) -> None:
-    parsed = _load("2.2-printed")
+    parsed = parse_model_text(fixture_text("2.2-printed"))
     logic = realize_logic(parsed)
     try:
         realize_smap(logic, parsed.table("smap", "p"))
@@ -146,7 +142,7 @@ def _repro_22_printed(report: ReproReport) -> None:
 
 
 def _repro_22_corrected(report: ReproReport) -> None:
-    model = realize_model(_load("2.2-corrected"))
+    model = realize_model(parse_model_text(fixture_text("2.2-corrected")))
     p = model.smaps["p"]
     x, y = model.observables["x"], model.observables["y"]
 
