@@ -56,7 +56,7 @@ class ComplementConflict(LatticeError):
 
 
 class AxiomViolation(LatticeError):
-    """One of the orthocomplementation axioms fails; `axiom` is ii/iii/iv/v."""
+    """One of the orthocomplementation axioms fails; `axiom` is iii/iv/v."""
 
     def __init__(self, axiom: str, message: str, witnesses: tuple = ()):
         self.axiom = axiom

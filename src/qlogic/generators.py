@@ -18,16 +18,17 @@ import math
 import random
 import string
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import SizeOutOfRange, UnsupportedLattice
 from .lattice import ONE, ZERO, QuantumLogic, build_logic
 from .observables import (
+    DiscreteObservable,
     _centered,
     _check_variances,
     _classical_covariances,
     _PairStats,
-    build_observable,
 )
 from .smaps import SMap, _check_smap, conditional_from_smap, smap_from_conditional
 from .states import State, _check_conditional
@@ -117,11 +118,14 @@ def infer_blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
     """Partition the atoms into Boolean blocks of a horizontal sum.
 
     Blocks are the connected components of the orthogonality graph on the
-    atoms.  The partition is verified: blocks must be cliques of that graph
-    joining to 1, and every element other than the bounds must be the join
-    of the atoms below it, all from a single block.  Anything else is not a
-    horizontal sum and is rejected.  The lattice is immutable, so the
-    blocks are computed once and kept on it.
+    atoms.  A block with one atom (`gen_boolean(1)`) or one that is not a
+    clique (a pasting) is rejected; on an orthomodular lattice nothing else
+    can fail.  A block joins to 1: else an atom c <= j' (j its join) is
+    orthogonal to the block, so in it, and c <= j ^ j' = 0.  The atoms below
+    e != 0, 1 share one block, that of any atom c <= e'.  Their join j is e:
+    else j' ^ e != 0 (orthomodular law), and an atom below it is below e
+    but not below j.  The lattice is immutable, so the blocks are computed
+    once and kept on it.
     """
     if logic._blocks is None:
         logic._blocks = _blocks(logic)
@@ -132,17 +136,17 @@ def _blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
     """:func:`infer_blocks` on the lattice's index tables."""
     names, leq, comp = logic.names, logic._leq, logic._comp
     atoms = [logic.index(a) for a in logic.atoms()]
-    block_of = {}  # atom -> index of its connected component
+    seen = set()
     blocks: list[list[int]] = []
     for atom in atoms:
-        if atom not in block_of:
-            block_of[atom] = len(blocks)
+        if atom not in seen:
+            seen.add(atom)
             component, frontier = [atom], [atom]
             while frontier:
                 current = frontier.pop()
                 new = [b for b in atoms
-                       if b not in block_of and leq[current][comp[b]]]
-                block_of.update(dict.fromkeys(new, len(blocks)))
+                       if b not in seen and leq[current][comp[b]]]
+                seen.update(new)
                 component += new
                 frontier += new
             blocks.append(sorted(component))
@@ -153,16 +157,6 @@ def _blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
             if not leq[a][comp[b]]:
                 raise UnsupportedLattice(f"atoms {names[a]} and {names[b]} share "
                                          f"a block but are not orthogonal")
-        if _join_all(logic, block) != logic.index(ONE):
-            raise UnsupportedLattice(f"block of {names[block[0]]} does not join to 1")
-    for e, name in enumerate(names):
-        if name in (ZERO, ONE):
-            continue
-        below = [a for a in atoms if leq[a][e]]
-        if not below or len({block_of[a] for a in below}) != 1:
-            raise UnsupportedLattice(f"element {name} spans several blocks")
-        if _join_all(logic, below) != e:
-            raise UnsupportedLattice(f"element {name} is not a join of atoms")
     return tuple(tuple(names[a] for a in block) for block in blocks)
 
 
@@ -452,13 +446,15 @@ def product_equivalence_scan(p: SMap, f) -> str | None:
 
 def _derived_observables(logic: QuantumLogic, rng: random.Random):
     """One observable per block (first two blocks), with distinct small
-    integer values drawn from the trial stream."""
+    integer values drawn from the trial stream; a block's atoms already
+    make an observable (see :func:`infer_blocks`)."""
     blocks = infer_blocks(logic)
     chosen = (blocks * 2)[:2]
     out = []
     for block in chosen:
         values = rng.sample(range(-9, 10), len(block))
-        out.append(build_observable(logic, zip(values, block)))
+        out.append(DiscreteObservable(logic, dict(zip(map(Fraction, values),
+                                                      block))))
     return out
 
 

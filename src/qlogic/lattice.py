@@ -231,7 +231,8 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
 
     Raises the first failure found, in a deterministic element order:
     bad names, missing bounds, order cycles, missing meets/joins, missing
-    or conflicting complements, then the orthocomplementation axioms.
+    or conflicting complements, then axioms (iii)-(v).  Axiom (ii), a'' = a,
+    holds by construction: each declared pair sets both directions at once.
     """
     names = tuple(elements)
     seen = set()
@@ -281,10 +282,6 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
         if comp[i] is None:
             raise MissingComplement(names[i])
 
-    for i in range(n):
-        if comp[comp[i]] != i:
-            raise AxiomViolation("ii", f"complement is not involutive at {names[i]}",
-                                 (names[i],))
     for i in range(n):
         if join[i][comp[i]] != one:
             raise AxiomViolation(

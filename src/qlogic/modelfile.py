@@ -286,10 +286,8 @@ def realize_smap(logic: QuantumLogic, table: dict) -> SMap:
     for e in logic.names:
         values.setdefault((ZERO, e), Fraction(0))
         values.setdefault((e, ZERO), Fraction(0))
-    pair = next(((c, logic.complement(c)) for c in inner
-                 if logic.complement(c) not in (ZERO, ONE)), None)
-    if pair is not None:
-        c, d = pair
+    if inner:  # c' is inner too: it is 0 only for c = 1, 1 only for c = 0
+        c, d = inner[0], logic.complement(inner[0])
         for e in inner:
             if (e, ONE) not in values and (e, c) in values and (e, d) in values:
                 values[e, ONE] = values[e, c] + values[e, d]

@@ -10,11 +10,11 @@ Everything is exact, so 11/30 stays 11/30.  A conditional state is one
 integer table, a column of numerators over one denominator per member, and
 its axiom checks are integer identities on that table.  Names and Fractions
 appear only at the boundary: the name-keyed constructor and validator,
-`__call__`, `values`, and the witnesses in errors.  The constructor
-resolves names, refuses events outside the system and coerces values but
-checks no axiom; the validator is the constructor followed by
-`_check_conditional`.  A state has n cells, not n^2, and keeps its
-name-keyed dict of Fractions.
+`__call__`, `values`, and the witnesses in errors.  Both constructors
+resolve names, refuse events outside the system and coerce values with
+`frac` but check no axiom; each validator is its constructor followed by
+`_check_state_column` or `_check_conditional`.  A state has n cells, not
+n^2, and keeps its name-keyed dict of Fractions.
 """
 
 from __future__ import annotations
@@ -50,6 +50,14 @@ class State:
     logic: QuantumLogic
     values: dict
 
+    def __post_init__(self):
+        """Resolve each name, then coerce its value, entry by entry."""
+        table = {}
+        for a, v in self.values.items():
+            self.logic.index(a)
+            table[a] = frac(v)
+        object.__setattr__(self, "values", table)
+
     def __call__(self, a: str) -> Fraction:
         try:
             return self.values[a]
@@ -66,13 +74,10 @@ class State:
 
 def validate_state(logic: QuantumLogic, values) -> State:
     """Check normalization and additivity over every orthogonal pair."""
-    table = {}
-    for a, v in values.items():
-        logic.index(a)  # raises UnknownElementError for stray tokens
-        table[a] = frac(v)
-    _check_state_column(logic, *common_denominator([table.get(a)
+    m = State(logic, values)
+    _check_state_column(logic, *common_denominator([m.values.get(a)
                                                     for a in logic.names]))
-    return State(logic, table)
+    return m
 
 
 def _check_cells(kind: str, key, num, den: int) -> None:
@@ -246,7 +251,7 @@ class ConditionalState:
         """The state f(. | a) for a fixed conditioning event."""
         if a not in self.cs:
             raise MissingTableEntry("conditional state", ("*", a))
-        return State(self.logic, {b: self.values[b, a] for b in self.logic.names})
+        return State(self.logic, {b: self(b, a) for b in self.logic.names})
 
     def is_independent(self, b: str, a: str, c: str) -> bool:
         """True iff b is independent of a with respect to f(. | c).

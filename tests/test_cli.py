@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qlogic import cli
+from qlogic import cli, repro
 from qlogic.cli import build_parser, main
 from qlogic.generators import SuiteReport
 from qlogic.lattice import ONE, ZERO
@@ -406,6 +407,18 @@ def test_repro_ids(ident, checks, capsys):
     assert "FAIL" not in out
 
 
+def test_repro_reports_failing_checks(monkeypatch, capsys):
+    monkeypatch.setitem(repro.EXAMPLE21_STATS, "nu_x", F(0))
+    assert main(["repro", "2.1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL nu_x = 1/5 (expected 0)" in out
+    assert "repro 2.1: FAIL (31/32 checks passed)" in out
+    monkeypatch.setattr(repro, "realize_smap", lambda logic, table: None)
+    assert main(["repro", "2.2-printed"]) == 1
+    assert ("FAIL validator accepted a table that is not additive"
+            in capsys.readouterr().out)
+
+
 def test_repro_unknown_id(capsys):
     assert main(["repro", "3.7"]) == 2
     assert "unknown repro id" in capsys.readouterr().err
@@ -441,7 +454,9 @@ def test_python_dash_m_runs_the_cli():
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    done = subprocess.run([sys.executable, "-m", "qlogic", "repro", "2.1"],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert "repro 2.1: ok (32/32 checks passed)" in done.stdout
+    for module in ("qlogic", "qlogic.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "repro", "2.1"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, (module, done.stderr)
+        assert "repro 2.1: ok (32/32 checks passed)" in done.stdout
+    assert importlib.import_module("qlogic.__main__").main is main

@@ -80,6 +80,8 @@ def test_size_rejections():
         horizontal_sum([2, 1])
     with pytest.raises(SizeOutOfRange):
         horizontal_sum([])
+    with pytest.raises(SizeOutOfRange, match="too many blocks"):
+        horizontal_sum([2] * 27)
 
 
 def _product_with_two(base):
@@ -210,6 +212,13 @@ def test_roundtrip_suite_counts_and_formats_failures(monkeypatch, mo2):
     assert (report.trials, report.passed, report.failed) == (4, 2, 2)
     assert not report.ok
     assert report.first_failure == f"trial 1 (seed {seeds[1]}): law broken"
+    # each round trip comes back as the sample for seed 0
+    monkeypatch.setattr(generators, "smap_from_conditional",
+                        lambda f: sample(f.logic, 0))
+    report = roundtrip_suite(mo2, 3, seed=17)
+    assert (report.trials, report.passed, report.failed) == (3, 0, 3)
+    assert report.first_failure == (f"trial 0 (seed {seeds[4]}): s-map -> "
+                                    f"conditional -> s-map is not the identity")
 
 
 def test_roundtrip_suite_on_boolean():

@@ -74,6 +74,10 @@ def test_unknown_element(mo2):
         mo2.meet("a", "zz")
     with pytest.raises(UnknownElementError):
         mo2.index("")
+    with pytest.raises(UnknownElementError) as exc:
+        build_logic(["0", "1", "x", "y"], order=[("x", "zz")],
+                    complements=[("x", "y")])
+    assert exc.value.token == "zz"
 
 
 def test_join_all_and_meet_all(boolean3):
@@ -86,6 +90,9 @@ def test_join_all_and_meet_all(boolean3):
 def test_structural_equality(mo2, example21):
     assert mo2 == example21.logic
     assert mo2 != gen_mo(3)
+    assert mo2 != object()
+    assert list(mo2) == list(mo2.names)
+    assert repr(mo2) == "QuantumLogic(6 elements: 0, 1, a, a', b, b')"
 
 
 # -- constructor rejections --------------------------------------------------
@@ -140,6 +147,14 @@ def test_complement_must_reverse_order():
         build_logic(["0", "1", "x", "y"], order=[("x", "y")],
                     complements=[("x", "y")])
     assert exc.value.axiom in ("ii", "iii", "iv", "v")
+    # the benzene ring with x and y given each other's complements: x <= y,
+    # but y's complement x' is not below x's complement y'
+    with pytest.raises(AxiomViolation) as exc:
+        build_logic(["0", "1", "x", "y", "y'", "x'"],
+                    order=[("x", "y"), ("y'", "x'")],
+                    complements=[("x", "y'"), ("y", "x'")])
+    assert exc.value.axiom == "iv"
+    assert exc.value.witnesses == ("x", "y")
 
 
 def test_benzene_ring_fails_orthomodularity():

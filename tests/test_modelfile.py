@@ -29,6 +29,7 @@ from qlogic.lattice import ONE, ZERO, is_element_name
 from qlogic.modelfile import (
     ModelFile,
     emit_model,
+    load_model,
     parse_model,
     parse_model_text,
     realize_cond,
@@ -214,6 +215,7 @@ def test_emit_parse_roundtrip_generated(tmp_path):
     assert again.logic == logic
     assert again.states["m"].values == model.states["m"].values
     assert again.smaps["p"].values == model.smaps["p"].values
+    assert load_model(path) == again == model
 
 
 #: element names from the whole token grammar, bounds excluded

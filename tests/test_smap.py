@@ -38,6 +38,8 @@ def test_fixture_smap(example21):
     assert p("a", "b") != p("b", "a")  # simultaneous measurement, ordered
     nu = p.diagonal_state()
     assert nu("a") == F(2, 5) and nu("b'") == F(7, 10)
+    assert p != object()
+    assert repr(p) == f"SMap(logic={p.logic!r}, values={p.values!r})"
 
 
 def test_diagonal_majorizes_rows(example21):

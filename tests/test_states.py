@@ -57,6 +57,12 @@ def test_floats_are_rejected(mo2):
         validate_state(mo2, dict(MO2_DIAGONAL, a=0.4))
 
 
+def test_non_rational_values_are_rejected(mo2):
+    for bad, error in (("abc", ValueError), ("1ex", ValueError), ([1], TypeError)):
+        with pytest.raises(error):
+            validate_state(mo2, dict(MO2_DIAGONAL, a=bad))
+
+
 def test_bools_are_rejected(mo2):
     with pytest.raises(TypeError):
         validate_state(mo2, dict(MO2_DIAGONAL, **{"1": True}))
@@ -208,6 +214,15 @@ def test_fixture_conditional_state(example21):
     assert f("b'", "1") == F(7, 10)
     column = f.condition("b")
     assert column("a") == F(2, 5) and column("1") == 1
+    with pytest.raises(MissingTableEntry) as exc:
+        f.condition("0")
+    assert exc.value.key == ("*", "0")
+    # the system may also be given as its plain member set
+    assert validate_conditional_state(f.logic, set(f.cs.members), f.values) == f
+    assert f != object()
+    assert repr(f.cs) == "ConditionalSystem({1, a, a', b, b'})"
+    assert repr(f) == (f"ConditionalState(logic={f.logic!r}, cs={f.cs!r}, "
+                       f"values={f.values!r})")
 
 
 def test_independence_definition(example21):

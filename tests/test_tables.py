@@ -1,5 +1,5 @@
 """Pins for the integer-table representation of s-maps and conditional
-states.
+states, and for the name-keyed constructors of all three tables.
 
 The sha256 pins were taken from the name-keyed `Fraction` implementation
 that preceded the tables: `gen` output is a function of the seed and must
@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
 
 from qlogic import (
+    build_logic,
     conditional_from_smap,
     gen_boolean,
     gen_mo,
@@ -30,6 +32,7 @@ from qlogic import (
 )
 from qlogic.errors import (
     InvalidConditionalSystem,
+    LatticeError,
     MissingTableEntry,
     UnknownElementError,
     UnsupportedLattice,
@@ -37,7 +40,7 @@ from qlogic.errors import (
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import emit_smap, parse_model_text, realize_model
 from qlogic.smaps import SMap
-from qlogic.states import ConditionalState
+from qlogic.states import ConditionalState, State
 from test_cli import pasting_model
 from test_generators import _product_with_two
 
@@ -212,11 +215,40 @@ def blocks_or_message(infer, logic):
         return str(exc)
 
 
+def random_logics(seed: int, tries: int) -> list:
+    """The inputs among `tries` seeded random ones that `build_logic`
+    accepts: 4 to 10 elements besides the bounds, paired off as
+    complements, under random order pairs along a random linear extension
+    together with their complement-reversed mirrors."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(tries):
+        inner = [f"e{k}" for k in range(2 * rng.randint(2, 5))]
+        paired = rng.sample(inner, len(inner))
+        complements = list(zip(paired[::2], paired[1::2]))
+        comp = dict(complements + [(b, a) for a, b in complements])
+        density = rng.choice((0.1, 0.2, 0.3))
+        order = [(a, b) for a, b in combinations(rng.sample(inner, len(inner)), 2)
+                 if rng.random() < density]
+        order += [(comp[b], comp[a]) for a, b in order]
+        try:
+            out.append(build_logic([ZERO, ONE] + inner, order, complements))
+        except LatticeError:
+            pass
+    return out
+
+
 def test_infer_blocks_matches_reference(sampled_lattices, pasting12, mo2):
     cases = dict(sampled_lattices)
     cases.update({"pasting12": pasting12,
                   "product-with-two": _product_with_two(mo2),
-                  "boolean-1": gen_boolean(1)})
+                  "boolean-1": gen_boolean(1),
+                  "hs-2-3-4": horizontal_sum([2, 3, 4]),
+                  "boolean-2-with-two": _product_with_two(gen_boolean(2)),
+                  "hs-2-3-with-two": _product_with_two(horizontal_sum([2, 3]))})
+    corpus = random_logics(2003, 2000)
+    assert len(corpus) >= 150
+    cases.update((f"random-{k}", logic) for k, logic in enumerate(corpus))
     verdicts = set()
     for label, logic in cases.items():
         want = blocks_or_message(reference_infer_blocks, logic)
@@ -267,6 +299,13 @@ def test_name_constructors_keep_holes(example21):
     with pytest.raises(MissingTableEntry) as exc:
         partial("b", "a'")
     assert exc.value.key == ("b", "a'")
+    with pytest.raises(MissingTableEntry) as exc:
+        partial.condition("a'")
+    assert exc.value.key == ("b", "a'")
+    partial = State(f.logic, {"a": "2/5"})
+    with pytest.raises(MissingTableEntry) as exc:
+        partial("b")
+    assert exc.value.key == "b"
 
 
 def test_name_constructors_resolve_names_and_coerce_values(example21):
@@ -298,6 +337,17 @@ def test_name_constructors_resolve_names_and_coerce_values(example21):
         ConditionalState(logic, cs, {("a", "b"): 0, ("b", "0"): "x"})
     assert str(exc.value) == ("entry (b | 0) conditions outside the "
                               "conditional system")
+
+    m = State(logic, {"b'": 1, "a": "1/2"})
+    assert list(m.values.items()) == [("b'", F(1)), ("a", F(1, 2))]
+    assert m("a") == F(1, 2)
+    with pytest.raises(UnknownElementError) as exc:
+        State(logic, {"zz": 0})
+    assert exc.value.token == "zz"
+    with pytest.raises(TypeError, match="refusing float"):
+        State(logic, {"a": 0.5})
+    with pytest.raises(TypeError):  # the first entry fails first
+        State(logic, {"a": 0.5, "zz": 0})
 
 
 def test_a_check_trial_stays_on_integers(monkeypatch, mo3):
