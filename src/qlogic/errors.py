@@ -163,9 +163,18 @@ class S3Violation(ValidationError):
 # constructors and conversions
 
 class NotOrthogonal(QLogicError):
-    def __init__(self, a, b):
+    """Two events that must be orthogonal are not: the parts `a` and `b` of
+    a partition, or, when `elements` names them, the events of an
+    observable's spectrum values `a` and `b`."""
+
+    def __init__(self, a, b, elements=None):
         self.a, self.b = a, b
-        super().__init__(f"elements for {a!r} and {b!r} are not orthogonal")
+        if elements is None:
+            message = f"elements for {a!r} and {b!r} are not orthogonal"
+        else:
+            message = (f"elements {elements[0]!r} and {elements[1]!r} for "
+                       f"spectrum values {a} and {b} are not orthogonal")
+        super().__init__(message)
 
 
 class AlphaNotConcentrated(QLogicError):

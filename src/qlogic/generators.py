@@ -277,9 +277,10 @@ def oracle_scan(logic: QuantumLogic) -> str | None:
     """Compare the table identity against the witness search on every pair;
     returns a description of the first disagreement, or None."""
     groups = _witness_groups(logic)
+    compatible = _compatibility(logic)
     for i, a in enumerate(logic.names):
         for j, b in enumerate(logic.names):
-            fast = logic.is_compatible(a, b)
+            fast = compatible[i][j]
             slow = _has_witness(logic, groups, i, j)
             if fast != slow:
                 return (f"compatibility mismatch at ({a}, {b}): "
@@ -287,10 +288,15 @@ def oracle_scan(logic: QuantumLogic) -> str | None:
     return None
 
 
-def _compatibility(logic: QuantumLogic) -> list:
-    """`is_compatible` as an index table, one row per element."""
-    names = logic.names
-    return [[logic.is_compatible(a, b) for b in names] for a in names]
+def _compatibility(logic: QuantumLogic) -> tuple:
+    """`is_compatible` as an index table, one row per element.  The lattice
+    is immutable, so the table is built once, from the lattice's own
+    `is_compatible`, and kept on it."""
+    if logic._compatible is None:
+        names = logic.names
+        logic._compatible = tuple(tuple(logic.is_compatible(a, b) for b in names)
+                                  for a in names)
+    return logic._compatible
 
 
 def _join_all(logic: QuantumLogic, indices) -> int:

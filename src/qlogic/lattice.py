@@ -56,7 +56,7 @@ class QuantumLogic:
     """
 
     __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
-                 "_orth_pairs", "_blocks")
+                 "_orth_pairs", "_blocks", "_compatible")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -74,6 +74,9 @@ class QuantumLogic:
         #: the Boolean blocks of a horizontal sum, kept by the first
         #: successful `generators.infer_blocks` call
         self._blocks = None
+        #: `is_compatible` as an index table, kept by the first
+        #: `generators._compatibility` call
+        self._compatible = None
 
     # -- basic access -------------------------------------------------------
 

@@ -26,9 +26,10 @@ Element names are tokens without whitespace, `,`, `|`, `=`, `->`, `#`, `[`
 or `]`, the characters that separate the fields of a line; the parser and
 `build_logic` both enforce this, so every logic the library accepts can be
 written out and read back.  Blank lines and text after `#` are ignored.
-Numbers are integers, fractions n/d, or decimal literals; all are read
-exactly.  Parsing checks syntax and that every referenced element was
-declared; whether a section's numbers actually form a state, conditional
+Numbers are integers, fractions n/d, or decimal literals, in the grammar of
+:func:`qlogic.rational.read_literal`.  All are read exactly, and each
+distinct literal once per file: tables repeat values, 0 and 1 above all.
+Parsing checks syntax and that every referenced element was declared; whether a section's numbers actually form a state, conditional
 state, or s-map is decided by the validators when the section is realized.
 
 Tables may omit entries forced by the axioms: states omit the bounds,
@@ -53,7 +54,7 @@ from .lattice import (
     is_element_name,
 )
 from .observables import DiscreteObservable, build_observable
-from .rational import check_literal, fmt
+from .rational import NotALiteral, fmt, read_literal
 from .smaps import SMap, validate_smap
 from .states import (
     ConditionalState,
@@ -105,13 +106,11 @@ class ModelFile:
 
 def _number(token: str, line: int) -> Fraction:
     try:
-        text = check_literal(token)
+        return read_literal(token)
+    except NotALiteral:
+        raise ParseError(line, f"bad number {token!r}") from None
     except ValueError as exc:
         raise ParseError(line, f"bad number: {exc}") from None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(line, f"bad number {token!r}") from None
 
 
 def _split_sections(text: str):
@@ -177,6 +176,14 @@ def parse_model_text(text: str) -> ParsedModel:
             raise UnknownElement(lineno, token)
         return token
 
+    numbers = {}  # literal -> value, for this file only
+
+    def number(token: str, lineno: int) -> Fraction:
+        value = numbers.get(token)
+        if value is None:
+            value = numbers[token] = _number(token, lineno)
+        return value
+
     for kind, name, body in bodies:
         table = {}
         for lineno, content in body:
@@ -184,14 +191,14 @@ def parse_model_text(text: str) -> ParsedModel:
                 left, sep, right = content.partition("->")
                 if not sep:
                     raise ParseError(lineno, "expected 'value -> element'")
-                value = _number(left.strip(), lineno)
+                value = number(left.strip(), lineno)
                 target = resolve(right.strip(), lineno)
                 key, entry = value, target
             else:
                 left, sep, right = content.partition("=")
                 if not sep:
                     raise ParseError(lineno, "expected '='")
-                entry = _number(right.strip(), lineno)
+                entry = number(right.strip(), lineno)
                 left = left.strip()
                 if kind == "state":
                     key = resolve(left, lineno)

@@ -100,7 +100,7 @@ def build_observable(logic: QuantumLogic, assignment) -> DiscreteObservable:
     for i, t in enumerate(spectrum):
         for s in spectrum[i + 1:]:
             if not logic.is_orthogonal(table[t], table[s]):
-                raise NotOrthogonal(t, s)
+                raise NotOrthogonal(t, s, (table[t], table[s]))
     total = logic.join_all(table.values())
     if total != "1":
         raise JoinNotOne(total)

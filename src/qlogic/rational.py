@@ -4,11 +4,20 @@ All probabilities and spectrum values are `fractions.Fraction`.  Decimal
 literals are parsed exactly ("0.3" means 3/10), so axiom checks can use
 `==` instead of a tolerance.  Binary floats are rejected at the boundary:
 `Fraction(0.3)` is not 3/10 and would silently corrupt every identity.
+
+Every rational literal, in a model file or passed to :func:`frac`, is read
+by :func:`read_literal` against one grammar, the one `Fraction(str)` uses
+from Python 3.12 on: an optional sign, then an integer `n`, a fraction
+`n/d` (spaces allowed around `/`) or a decimal with optional fractional
+part and exponent (`.5`, `5.`, `1.5E-2`); digit groups may be separated by
+single underscores (`1_000`), and any Unicode decimal digit counts.  The
+grammar does not depend on the Python version, as `Fraction(str)` does.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -22,7 +31,8 @@ MAX_LITERAL_EXPONENT = 256
 def check_literal(text: str) -> str:
     """Return `text` stripped, or raise ValueError when it is longer than
     MAX_LITERAL_CHARS or its decimal exponent exceeds MAX_LITERAL_EXPONENT
-    in magnitude.  Whether it is a literal at all is left to Fraction."""
+    in magnitude.  Whether it is a literal at all is left to
+    :func:`read_literal`."""
     text = text.strip()
     if len(text) > MAX_LITERAL_CHARS:
         raise ValueError(f"rational literal has {len(text)} characters, "
@@ -31,7 +41,7 @@ def check_literal(text: str) -> str:
     if e:
         try:
             magnitude = abs(int(exponent))
-        except ValueError:  # not a literal; Fraction will say so
+        except ValueError:  # not a literal; read_literal will say so
             magnitude = 0
         if magnitude > MAX_LITERAL_EXPONENT:
             raise ValueError(f"rational literal exponent {exponent} exceeds "
@@ -39,11 +49,62 @@ def check_literal(text: str) -> str:
     return text
 
 
+class NotALiteral(ValueError):
+    """Text within the caps of :func:`check_literal` that is no literal of
+    the grammar, or names no rational (a zero denominator)."""
+
+
+_DIGITS = r"(?:\d+(?:_\d+)*)"
+_LITERAL = re.compile(rf"""
+    (?P<sign>[-+]?)
+    (?=\d|\.\d)                 # a digit first, or right after the point
+    (?P<num>{_DIGITS}?)
+    (?:
+        \s*/\s*(?P<den>{_DIGITS})
+    |
+        (?:\.(?P<decimal>{_DIGITS}?))?
+        (?:E(?P<exp>[-+]?{_DIGITS}))?
+    )
+""", re.VERBOSE | re.IGNORECASE)
+
+
+def read_literal(text: str) -> Fraction:
+    """The exact value of one rational literal (see the module docstring).
+
+    Raises ValueError with :func:`check_literal`'s message when `text` is
+    over its caps, and :class:`NotALiteral` when it is no literal.
+    """
+    match = _LITERAL.fullmatch(check_literal(text))
+    if match is None:
+        raise NotALiteral(f"not a rational literal: {text!r}")
+    sign, num, den, decimal, exp = match.group("sign", "num", "den",
+                                               "decimal", "exp")
+    num = int(num or "0")
+    if den is not None:
+        den = int(den)
+        if den == 0:
+            raise NotALiteral(f"not a rational literal: {text!r}")
+    else:
+        den = 1
+        if decimal:
+            decimal = decimal.replace("_", "")
+            scale = 10 ** len(decimal)
+            num, den = num * scale + int(decimal), scale
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                num *= 10 ** exp
+            else:
+                den *= 10 ** -exp
+    if sign == "-":
+        num = -num
+    return Fraction(num, den)
+
+
 def frac(value) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction.
 
-    Accepts "7", "n/d" and decimal strings, within the caps of
-    :func:`check_literal`.  Floats and bools are refused: pass the literal
+    Strings are read by :func:`read_literal`.  Floats and bools are refused: pass the literal
     as a string if decimal notation is what you mean.
     """
     if isinstance(value, Fraction):
@@ -53,11 +114,7 @@ def frac(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = check_literal(value)
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational literal: {value!r}") from exc
+        return read_literal(value)
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: pass a string or Fraction to stay exact")
@@ -74,6 +131,12 @@ def common_denominator(values) -> tuple[tuple, int]:
     den = math.lcm(*(v.denominator for v in values if v is not None))
     return tuple(None if v is None else v.numerator * (den // v.denominator)
                  for v in values), den
+
+
+def shared_fractions(num, den: int) -> dict:
+    """numerator -> Fraction(numerator, den), built once for each distinct
+    value in `num`, so that equal cells share one Fraction."""
+    return {v: Fraction(v, den) for v in set(num)}
 
 
 def reduced(num, den: int) -> tuple[tuple[int, ...], int]:

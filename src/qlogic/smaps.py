@@ -32,7 +32,7 @@ from .errors import (
     S3Violation,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac, reduced
+from .rational import common_denominator, frac, reduced, shared_fractions
 from .states import (
     ConditionalState,
     State,
@@ -74,9 +74,11 @@ class SMap:
 
     @cached_property
     def values(self) -> dict:
-        names, den = self.logic.names, self.den
+        """One Fraction per distinct numerator, shared by its cells."""
+        names, num = self.logic.names, self.num
+        value = shared_fractions(num, self.den)
         pairs = ((a, b) for a in names for b in names)
-        return {key: Fraction(v, den) for key, v in zip(pairs, self.num)}
+        return dict(zip(pairs, map(value.__getitem__, num)))
 
     def rows(self) -> list:
         """The numerators, one tuple per row, indexed like `logic.names`."""

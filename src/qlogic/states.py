@@ -40,7 +40,7 @@ from .errors import (
     ZeroInSeed,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac, reduced
+from .rational import common_denominator, frac, reduced, shared_fractions
 
 
 @dataclass(frozen=True, eq=True)
@@ -226,10 +226,14 @@ class ConditionalState:
 
     @cached_property
     def values(self) -> dict:
-        names = self.logic.names
-        return {(b, names[a]): Fraction(v, den)
-                for a, (num, den) in self.columns.items()
-                for b, v in zip(names, num)}
+        """One Fraction per distinct numerator of each column, shared by
+        its cells."""
+        names, values = self.logic.names, {}
+        for a, (num, den) in self.columns.items():
+            value, condition = shared_fractions(num, den), names[a]
+            values.update(zip(((b, condition) for b in names),
+                              map(value.__getitem__, num)))
+        return values
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConditionalState):

@@ -106,6 +106,17 @@ def test_validate_invalid_logic_exits_1(tmp_path, capsys):
     assert "logic: INVALID" in capsys.readouterr().out
 
 
+def test_validate_names_non_orthogonal_observable_events(tmp_path, capsys):
+    bad = tmp_path / "twice.qlm"
+    bad.write_text("[logic]\nelements a a' b b'\ncomplement a a'\n"
+                   "complement b b'\n[observable x]\n1 -> a\n2 -> a\n",
+                   encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "observable x: INVALID (elements 'a' and 'a' for spectrum values "
+        "1 and 2 are not orthogonal)")
+
+
 # -- derive -------------------------------------------------------------------
 
 

@@ -185,6 +185,21 @@ def test_distributivity_scan_corpus():
         assert distributivity_scan(logic) is None
 
 
+def test_compatibility_table_is_built_once_per_lattice(monkeypatch):
+    logic = horizontal_sum([2, 3])
+    calls = []
+    is_compatible = type(logic).is_compatible
+    monkeypatch.setattr(type(logic), "is_compatible",
+                        lambda self, a, b: calls.append(1) or is_compatible(self, a, b))
+    table = generators._compatibility(logic)
+    assert len(calls) == len(logic) ** 2
+    assert table == tuple(tuple(is_compatible(logic, a, b) for b in logic.names)
+                          for a in logic.names)
+    assert distributivity_scan(logic) is None and oracle_scan(logic) is None
+    assert generators._compatibility(logic) is table
+    assert len(calls) == len(logic) ** 2
+
+
 # -- suite --------------------------------------------------------------------
 
 

@@ -46,8 +46,9 @@ def test_build_observable_rejections(mo2):
         build_observable(mo2, {0: "zz"})
     with pytest.raises(ZeroElement):
         build_observable(mo2, {0: "0", 1: "1"})
-    with pytest.raises(NotOrthogonal):
+    with pytest.raises(NotOrthogonal) as exc:
         build_observable(mo2, {0: "a", 1: "b"})
+    assert (exc.value.a, exc.value.b) == (F(0), F(1))
     with pytest.raises(JoinNotOne) as exc:
         build_observable(mo2, {5: "a"})
     assert exc.value.join == "a"

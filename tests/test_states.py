@@ -363,7 +363,8 @@ def test_partition_weight_is_conditional_probability(mo2):
 def test_partition_rejections(mo2):
     alpha1 = _alpha(mo2, "a", F(1, 5))
     alpha2 = _alpha(mo2, "a'", F(1, 5))
-    with pytest.raises(NotOrthogonal):
+    with pytest.raises(NotOrthogonal,
+                       match="^elements for 'a' and 'b' are not orthogonal$"):
         conditional_state_from_partition(
             mo2, ["a", "b"], [alpha1, alpha2], [F(1, 2), F(1, 2)])
     with pytest.raises(AlphaNotConcentrated):
