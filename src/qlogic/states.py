@@ -65,7 +65,9 @@ class State:
             raise MissingTableEntry("state", a) from None
 
     def items(self):
-        return ((a, self.values[a]) for a in self.logic.names)
+        """The entries the table has, in `logic.names` order."""
+        values = self.values
+        return ((a, values[a]) for a in self.logic.names if a in values)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{a}: {v}" for a, v in self.items())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qlogic import cli, repro
+from qlogic import cli, generators, repro
 from qlogic.cli import build_parser, main
 from qlogic.generators import SuiteReport
 from qlogic.lattice import ONE, ZERO
@@ -24,6 +25,7 @@ from qlogic.modelfile import (
 )
 from qlogic.repro import fixture_text
 from qlogic.rational import fmt
+from test_generators import _raising_a_cell
 
 
 @pytest.fixture()
@@ -395,6 +397,18 @@ def test_check_reports_a_failing_scan(monkeypatch, capsys, scan, failing, line):
     monkeypatch.setattr(cli, scan, failing)
     assert main(["check", "mo", "2", "--trials", "4"]) == 1
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_check_reports_a_trial_that_raises(monkeypatch, capsys):
+    monkeypatch.setattr(generators, "random_smap",
+                        _raising_a_cell(generators.random_smap))
+    assert main(["check", "mo", "2", "--trials", "3", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "roundtrips and laws: 0/3 trials passed" in lines
+    assert re.fullmatch(r"first failure: trial 0 \(seed \d+\): "
+                        r"S3Violation: additivity \(s3\) fails .*", lines[-1])
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("trials", ["-3", "0"])

@@ -26,6 +26,7 @@ from qlogic import (
 from qlogic import generators
 from qlogic.errors import SizeOutOfRange, UnsupportedLattice
 from qlogic.generators import DENOMINATOR_BOUND
+from qlogic.smaps import SMap
 
 
 @pytest.mark.parametrize("n,size", [(1, 2), (2, 4), (3, 8), (4, 16)])
@@ -234,6 +235,43 @@ def test_roundtrip_suite_counts_and_formats_failures(monkeypatch, mo2):
     assert (report.trials, report.passed, report.failed) == (3, 0, 3)
     assert report.first_failure == (f"trial 0 (seed {seeds[4]}): s-map -> "
                                     f"conditional -> s-map is not the identity")
+
+
+def _raising_a_cell(sample):
+    """A sampler that returns `sample`'s s-map with p(a, b) raised by one
+    over its denominator, which breaks additivity (S3)."""
+    def raised(logic, seed):
+        p = sample(logic, seed)
+        num = list(p.num)
+        num[logic.index("a") * len(logic) + logic.index("b")] += 1
+        return SMap.from_table(logic, num, p.den)
+    return raised
+
+
+def test_roundtrip_suite_counts_a_raising_trial_as_failed(monkeypatch, mo2,
+                                                          pasting12):
+    seeds, sample = [], generators.random_smap
+    monkeypatch.setattr(generators, "random_smap", _raising_a_cell(
+        lambda logic, seed: seeds.append(seed) or sample(logic, seed)))
+    report = roundtrip_suite(mo2, 3, seed=0)
+    assert (report.trials, report.passed, report.failed) == (3, 0, 3)
+    assert report.first_failure.startswith(
+        f"trial 0 (seed {seeds[0]}): S3Violation: additivity (s3) fails")
+    monkeypatch.setattr(generators, "random_smap", sample)
+    verdicts = iter([None, AssertionError("margins")])
+
+    def law_scan(p):
+        verdict = next(verdicts)
+        if verdict is not None:
+            raise verdict
+
+    monkeypatch.setattr(generators, "smap_law_scan", law_scan)
+    report = roundtrip_suite(mo2, 2, seed=0)
+    assert (report.passed, report.failed) == (1, 1)
+    assert report.first_failure.endswith("): AssertionError: margins")
+    # a lattice the sampler refuses is no failed trial: the suite raises
+    with pytest.raises(UnsupportedLattice):
+        roundtrip_suite(pasting12, 1, seed=0)
 
 
 def test_roundtrip_suite_on_boolean():

@@ -418,6 +418,14 @@ def lattice_cases(sampled_lattices, pasting12):
         yield f"{label} all compatible", Miswired(logic, incompatible)
 
 
+def random_miswirings(logic, rng):
+    """20 copies of `logic`, each with `is_compatible` wrong on one to four
+    ordered pairs drawn from all of them, comparable or not."""
+    pairs = [(a, b) for a in logic.names for b in logic.names]
+    for _ in range(20):
+        yield Miswired(logic, rng.sample(pairs, rng.randint(1, 4)))
+
+
 def test_lattice_scans_match_reference(sampled_lattices, pasting12):
     seen = set()
     for label, logic in lattice_cases(sampled_lattices, pasting12):
@@ -432,6 +440,18 @@ def test_lattice_scans_match_reference(sampled_lattices, pasting12):
         assert (name, "return", None) in seen
         for kind in MESSAGE_KINDS[name]:
             assert (name, "return", kind) in seen
+    # the package scans pairs only and the reference families of 2 and 3,
+    # so random miswirings test that the triples never decide anything;
+    # the reference is cubic, so only the distributivity scan gets them
+    rng = random.Random(11)
+    seen = set()
+    for label, logic in {**sampled_lattices, "pasting12": pasting12}.items():
+        for k, wrong in enumerate(random_miswirings(logic, rng)):
+            expected = outcome(reference_distributivity_scan, wrong)
+            assert outcome(distributivity_scan, wrong) == expected, (label, k)
+            seen.add(summary("distributivity", expected))
+    assert seen == {("distributivity", "return", kind)
+                    for kind in (None, *MESSAGE_KINDS["distributivity"])}
 
 
 def test_oracle_never_consults_is_compatible(mo2):

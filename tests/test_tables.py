@@ -306,6 +306,7 @@ def test_name_constructors_keep_holes(example21):
     with pytest.raises(MissingTableEntry) as exc:
         partial("b")
     assert exc.value.key == "b"
+    assert repr(partial) == "State(a: 2/5)"
 
 
 def test_name_constructors_resolve_names_and_coerce_values(example21):
