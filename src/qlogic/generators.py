@@ -20,6 +20,7 @@ import string
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 
 from .errors import QLogicError, SizeOutOfRange, UnsupportedLattice
 from .lattice import ONE, ZERO, QuantumLogic, build_logic
@@ -205,13 +206,13 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
         for cols in blocks:
             if rows is cols:
                 continue
-            remaining_col = {b: mass[b] for b in cols}
+            remaining_col = [mass[b] for b in cols]
             for i, a in enumerate(rows):
-                remaining_row = mass[a]
+                remaining_row, tail = mass[a], sum(remaining_col)
                 for j, b in enumerate(cols):
-                    tail = sum(remaining_col[c] for c in cols[j + 1:])
+                    tail -= remaining_col[j]  # what cols[j + 1:] can take
                     lo = max(0, remaining_row - tail)
-                    hi = min(remaining_row, remaining_col[b])
+                    hi = min(remaining_row, remaining_col[j])
                     if i == len(rows) - 1:
                         t = hi  # last row is forced to the column remainder
                     else:
@@ -219,16 +220,22 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
                         t = lo + (hi - lo) * u // DENOMINATOR_BOUND
                     cells[a][b] = t
                     remaining_row -= t
-                    remaining_col[b] -= t
+                    remaining_col[j] -= t
 
-    # remaining entries by additivity; 1 decomposes through the first block
-    # (any block gives the same sums)
+    # remaining entries by additivity, summing whole rows over the atoms
+    # below each element, then whole columns; 1 decomposes through the
+    # first block (any block gives the same sums)
     below = [() if name == ZERO else blocks[0] if name == ONE else
              [a for block in blocks for a in block if logic._leq[a][e]]
              for e, name in enumerate(logic.names)]
-    rows = [[sum(column) for column in zip(*(cells[a] for a in atoms))]
-            if atoms else [0] * n for atoms in below]
-    num = [sum(row[b] for b in atoms) for row in rows for atoms in below]
+    zero = [0] * n
+
+    def fold(table):
+        return [list(map(sum, zip(zero, *map(table.__getitem__, atoms))))
+                for atoms in below]
+
+    columns = fold(list(zip(*fold(cells))))
+    num = [v for row in zip(*columns) for v in row]
     return SMap.from_table(logic, num, den)
 
 
@@ -357,10 +364,15 @@ def _common_columns(f):
 
 
 def smap_law_scan(p: SMap) -> str | None:
-    """The derived s-map laws, checked exhaustively on one s-map."""
+    """The derived s-map laws, checked exhaustively on one s-map.
+
+    Monotonicity compares whole rows and the marginal law sums whole rows
+    and columns; only a comparison that fails is walked cell by cell, to
+    name its first failure."""
     logic = p.logic
     names, leq, comp, meet = logic.names, logic._leq, logic._comp, logic._meet
-    rows = p.rows()
+    n, num = len(names), p.num
+    rows, diagonal = p.rows(), num[::n + 1]
     compatible = _compatibility(logic)
     for i, a in enumerate(names):
         row = rows[i]
@@ -369,31 +381,40 @@ def smap_law_scan(p: SMap) -> str | None:
             if leq[i][comp[j]] and v != 0:
                 return f"orthogonal pair ({a}, {b}) with nonzero value"
             if compatible[i][j]:
-                k = meet[i][j]
-                if not v == rows[k][k] == rows[j][i]:
+                if not v == diagonal[meet[i][j]] == rows[j][i]:
                     return f"compatible pair ({a}, {b}) breaks the meet identity"
             if leq[i][j]:
                 if v != row[i]:
                     return f"p({a}, {b}) != p({a}, {a}) despite {a} <= {b}"
-                for c, (u, w) in enumerate(zip(row, rows[j])):
-                    if u > w:
-                        return f"monotonicity fails at ({a}, {b}; {names[c]})"
-            if v > rows[j][j]:
+                if not all(map(le, row, rows[j])):
+                    c = next(c for c, (u, w) in enumerate(zip(row, rows[j]))
+                             if u > w)
+                    return f"monotonicity fails at ({a}, {b}; {names[c]})"
+            if v > diagonal[j]:
                 return f"p({a}, {b}) exceeds the diagonal at {b}"
     # marginal law: each block's atoms decompose 1
+    columns = [num[c::n] for c in range(n)]
     for block in infer_blocks(logic):
         cols = [logic.index(b) for b in block]
+        by_row = list(map(sum, zip(*map(columns.__getitem__, cols))))
+        by_column = list(map(sum, zip(*map(rows.__getitem__, cols))))
+        if by_row == by_column == list(diagonal):
+            continue
         for i, a in enumerate(names):
-            if sum(rows[i][c] for c in cols) != rows[i][i]:
+            if by_row[i] != diagonal[i]:
                 return f"row marginal over block {block} fails at {a}"
-            if sum(rows[c][i] for c in cols) != rows[i][i]:
+            if by_column[i] != diagonal[i]:
                 return f"column marginal over block {block} fails at {a}"
     return None
 
 
 def independence_law_scan(f) -> str | None:
     """The three equivalences that follow from the independence definition,
-    over every admissible triple."""
+    over every admissible triple.
+
+    At c = a every b is independent, so (ii) and (iii) hold there, and (i)
+    asks that the columns of a and a' be equal: one comparison decides the
+    pair, and only a pair that fails is walked b by b."""
     logic = f.logic
     names, comp = logic.names, logic._comp
     col, one = _common_columns(f)
@@ -407,6 +428,8 @@ def independence_law_scan(f) -> str | None:
             col_ac = col.get(comp[a])
             if col_ac is not None and col_ac[c] != one:
                 col_ac = None
+            if c == a and (col_ac is None or col_ac == col_a):
+                continue
             for b in range(len(names)):
                 ind = col_c[b] == col_a[b]
                 # (ii) b and its complement agree
@@ -465,30 +488,36 @@ def _derived_observables(logic: QuantumLogic, rng: random.Random):
 def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
     """Centered-moment identity, defined correlation, classical
     representation (Cauchy-Schwarz included), and symmetry under
-    compatibility, on observables derived from the block structure; each
-    ordered pair's cells are read once.
+    compatibility, on observables derived from the block structure, for
+    the pairs (x, y) and (x, x); the cells are read once, by (x, y).
 
-    The pairs (x, y) and (x, x) suffice: (y, x) would decide nothing new.
-    The (x, y) pass tests both variances, and its classical representation
-    asserts the margins of the (x, y) and (y, x) tables, both means, the
-    centered-moment identity of (y, x) and Cauchy-Schwarz in both orders.
-    Compatibility is symmetric on an orthomodular lattice, so the symmetry
-    check would be the same one.  The observables are the only draw from
-    `rng`, so the trial stream does not depend on the passes.
+    (y, x) would decide nothing new.  The (x, y) pass tests both variances,
+    and its classical representation asserts the margins of the (x, y) and
+    (y, x) tables, both means, the centered-moment identity of (y, x) and
+    Cauchy-Schwarz in both orders.  Compatibility is symmetric on an
+    orthomodular lattice, so the symmetry check would be the same one.
+    Of (x, x), its centered-moment identity and the margins of the xx block
+    remain.  Its variances were tested in the (x, y) pass; its classical
+    covariance is the number of the identity; Cauchy-Schwarz is then an
+    equality; its two joint moments are the same sum.  The observables are
+    the only draw from `rng`, so the trial stream does not depend on this.
     """
     x, y = _derived_observables(p.logic, rng)
-    for u, v in ((x, y), (x, x)):
-        stats = _PairStats(p, u, v)
-        centered = _centered(stats.X, stats.Y, stats.xy, stats.d, stats.sx,
-                             stats.sy)
-        if centered != stats.d * stats.cxy:
-            return "centered-moment identity fails"
-        # the checks of covariance_matrix and correlation, on integers
-        assert stats.vx >= 0 and stats.vy >= 0
-        _check_variances(stats.vx, stats.vy)
-        _classical_covariances(stats)  # asserts its own equalities
-        if u.is_compatible_with(v) and stats.mxy != stats.myx:
-            return "compatible observables with asymmetric joint moment"
+    stats = _PairStats(p, x, y)
+    X, d, sx, xx = stats.X, stats.d, stats.sx, stats.xx
+    if _centered(X, stats.Y, stats.xy, d, sx, stats.sy) != d * stats.cxy:
+        return "centered-moment identity fails"
+    # the checks of covariance_matrix and correlation, on integers
+    assert stats.vx >= 0 and stats.vy >= 0
+    _check_variances(stats.vx, stats.vy)
+    _classical_covariances(stats)  # asserts its own equalities
+    if x.is_compatible_with(y) and stats.mxy != stats.myx:
+        return "compatible observables with asymmetric joint moment"
+    if _centered(X, X, xx, d, sx, sx) != d * stats.vx:
+        return "centered-moment identity fails"
+    assert sum(map(sum, xx)) == d
+    assert list(map(sum, xx)) == stats.nu_x
+    assert list(map(sum, zip(*xx))) == stats.nu_x
     return None
 
 

@@ -215,12 +215,14 @@ class _PairStats:
 
     def __init__(self, p: SMap, x: DiscreteObservable, y: DiscreteObservable):
         self.x, self.y = x, y
-        n, rows, d = len(x.elements), p.rows(), p.den
+        n, num, d = len(x.elements), p.num, p.den
         events = [p.logic.index(e) for e in x.elements + y.elements]
-        cells = [[rows[e][f] for f in events] for e in events]
+        # two events at least, so `pick` returns a tuple
+        size, pick = len(p.logic), operator.itemgetter(*events)
+        cells = [pick(num[e * size:(e + 1) * size]) for e in events]
         z, c = common_denominator(x.spectrum + y.spectrum)
         self.X, self.Y, self.c, self.d = z[:n], z[n:], c, d
-        xx = [row[:n] for row in cells[:n]]
+        self.xx = xx = [row[:n] for row in cells[:n]]
         self.xy = [row[n:] for row in cells[:n]]
         self.yx = [row[:n] for row in cells[n:]]
         yy = [row[n:] for row in cells[n:]]

@@ -128,9 +128,10 @@ def common_denominator(values) -> tuple[tuple, int]:
     tables, and sums, equalities and orderings carry over to the
     numerators.
     """
-    den = math.lcm(*(v.denominator for v in values if v is not None))
-    return tuple(None if v is None else v.numerator * (den // v.denominator)
-                 for v in values), den
+    ratios = [None if v is None else v.as_integer_ratio() for v in values]
+    den = math.lcm(*{r[1] for r in ratios if r is not None})
+    return tuple([None if r is None else r[0] * (den // r[1])
+                  for r in ratios]), den
 
 
 def shared_fractions(num, den: int) -> dict:
@@ -144,7 +145,7 @@ def reduced(num, den: int) -> tuple[tuple[int, ...], int]:
     g = math.gcd(den, *num)
     if g == 1:
         return tuple(num), den
-    return tuple(v // g for v in num), den // g
+    return tuple([v // g for v in num]), den // g
 
 
 def fmt(q: Fraction) -> str:

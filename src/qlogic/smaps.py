@@ -51,17 +51,17 @@ class SMap:
 
     def __init__(self, logic: QuantumLogic, values):
         """Read {(a, b): value} in one pass, entry by entry: resolve a and
-        b, then coerce the value with `frac`.  A cell the table lacks is
-        None in `num`."""
-        index, names = logic.index, logic.names
+        b, then coerce the value with `frac` and write it to its cell under
+        the caller's key.  A cell the table lacks is None in `num`."""
+        index, n = logic.index, len(logic)
         self.logic = logic
         self.values = table = {}
-        for (a, b), v in values.items():
-            index(a)
-            index(b)
-            table[a, b] = frac(v)
-        self.num, self.den = common_denominator([table.get((a, b))
-                                                 for a in names for b in names])
+        cells = [None] * (n * n)
+        for key, v in values.items():
+            a, b = key
+            cell = index(a) * n + index(b)
+            table[key] = cells[cell] = frac(v)
+        self.num, self.den = common_denominator(cells)
 
     @classmethod
     def from_table(cls, logic: QuantumLogic, num, den: int) -> "SMap":
@@ -75,10 +75,9 @@ class SMap:
     @cached_property
     def values(self) -> dict:
         """One Fraction per distinct numerator, shared by its cells."""
-        names, num = self.logic.names, self.num
-        value = shared_fractions(num, self.den)
-        pairs = ((a, b) for a in names for b in names)
-        return dict(zip(pairs, map(value.__getitem__, num)))
+        value = shared_fractions(self.num, self.den)
+        return dict(zip(self.logic._name_pairs(),
+                        map(value.__getitem__, self.num)))
 
     def rows(self) -> list:
         """The numerators, one tuple per row, indexed like `logic.names`."""

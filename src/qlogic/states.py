@@ -202,19 +202,22 @@ class ConditionalState:
 
     def __init__(self, logic: QuantumLogic, cs: ConditionalSystem, values):
         """Read {(b, a): value} in one pass, entry by entry: resolve b,
-        refuse an a outside cs, then coerce the value with `frac`.  An
-        entry the table lacks is None in its column."""
-        index, names = logic.index, logic.names
+        refuse an a outside cs, then coerce the value with `frac` and write
+        it to its cell under the caller's key.  An entry the table lacks is
+        None in its column."""
+        index, members = logic.index, cs.members
         self.logic, self.cs = logic, cs
         self.values = table = {}
-        for (b, a), v in values.items():
-            index(b)
-            if a not in cs:
+        cells = {a: [None] * len(logic) for a in members}
+        for key, v in values.items():
+            b, a = key
+            row = index(b)
+            if a not in members:
                 raise InvalidConditionalSystem(
                     f"entry ({b} | {a}) conditions outside the conditional system")
-            table[b, a] = frac(v)
-        self.columns = {index(a): common_denominator(
-            [table.get((b, a)) for b in names]) for a in cs.sorted_members()}
+            table[key] = cells[a][row] = frac(v)
+        self.columns = {index(a): common_denominator(cells[a])
+                        for a in cs.sorted_members()}
 
     @classmethod
     def from_columns(cls, logic: QuantumLogic, cs: ConditionalSystem,
@@ -230,11 +233,10 @@ class ConditionalState:
     def values(self) -> dict:
         """One Fraction per distinct numerator of each column, shared by
         its cells."""
-        names, values = self.logic.names, {}
+        pairs, n, values = self.logic._name_pairs(), len(self.logic), {}
         for a, (num, den) in self.columns.items():
-            value, condition = shared_fractions(num, den), names[a]
-            values.update(zip(((b, condition) for b in names),
-                              map(value.__getitem__, num)))
+            value = shared_fractions(num, den)
+            values.update(zip(pairs[a::n], map(value.__getitem__, num)))
         return values
 
     def __eq__(self, other) -> bool:

@@ -406,6 +406,54 @@ def test_law_scans_match_reference(sampled_lattices):
     assert ("product", "raise", PreconditionFailed) in seen
 
 
+def single_cell_nudges(logic, seed):
+    """A random s-map p and its conditional state f, then, for each cell of
+    p and each entry of f in turn, the pair with that one value moved by
+    +1/7 and by -1/7 (built without the validators)."""
+    p = random_smap(logic, seed)
+    f = conditional_from_smap(p)
+    for values, rebuild in ((p.values, lambda v: (SMap(logic, v), f)),
+                            (f.values, lambda v: (p, ConditionalState(
+                                logic, f.cs, v)))):
+        for key in values:
+            for step in (F(1, 7), F(-1, 7)):
+                yield rebuild({**values, key: values[key] + step})
+
+
+def test_law_scans_match_reference_on_every_single_cell_nudge(mo2, mo3,
+                                                              boolean3):
+    """A scan that tests a whole row or column at once must still reject
+    every table that differs from a valid one in a single cell, and name
+    the same first failure as the reference."""
+    seen = set()
+    for logic in (mo2, mo3, boolean3):
+        for k, (p, f) in enumerate(single_cell_nudges(logic, 3)):
+            cases = (
+                ("smap", reference_smap_law_scan, smap_law_scan,
+                 lambda: (p,)),
+                ("independence", reference_independence_law_scan,
+                 independence_law_scan, lambda: (f,)),
+                ("product", reference_product_equivalence_scan,
+                 product_equivalence_scan, lambda: (p, f)),
+                ("statistics", reference_statistics_law_scan,
+                 statistics_law_scan, lambda: (p, random.Random(k))),
+            )
+            for name, reference, scan, args in cases:
+                expected = outcome(reference, *args())
+                assert outcome(scan, *args()) == expected, (name, logic, k)
+                seen.add(summary(name, expected))
+    # the nudges reach these first failures, each at least once
+    assert seen >= {("smap", "return", kind) for kind in (
+        "orthogonal pair", "compatible pair", "monotonicity", "row marginal",
+        "column marginal")}
+    assert seen >= {("independence", "return", "(i) "),
+                    ("independence", "return", "(ii) "),
+                    ("product", "return", "independence routes disagree"),
+                    ("product", "raise", PreconditionFailed),
+                    ("statistics", "return", "centered-moment identity fails"),
+                    ("statistics", "raise", AssertionError)}
+
+
 def lattice_cases(sampled_lattices, pasting12):
     """Every sampled lattice and the pasting, each also miswired twice:
     wrong on a few comparable pairs, and calling every pair compatible."""

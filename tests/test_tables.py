@@ -38,7 +38,14 @@ from qlogic.errors import (
     UnsupportedLattice,
 )
 from qlogic.lattice import ONE, ZERO
-from qlogic.modelfile import emit_smap, parse_model_text, realize_model
+from qlogic.cli import main
+from qlogic.modelfile import (
+    emit_logic,
+    emit_smap,
+    emit_state,
+    parse_model_text,
+    realize_model,
+)
 from qlogic.smaps import SMap
 from qlogic.states import ConditionalState, State
 from test_cli import pasting_model
@@ -107,6 +114,7 @@ GEN_PINS = {
 PIN_LATTICES = {f"mo-{n}": (gen_mo, n) for n in (1, 2, 3, 4)}
 PIN_LATTICES.update({f"boolean-{n}": (gen_boolean, n) for n in (2, 3, 4)})
 PIN_LATTICES["hs-3-4"] = (horizontal_sum, [3, 4])
+PIN_LATTICES.update({"mo-8": (gen_mo, 8), "hs-2-3-4": (horizontal_sum, [2, 3, 4])})
 
 
 @pytest.mark.parametrize("label", sorted(GEN_PINS))
@@ -116,6 +124,61 @@ def test_random_smap_output_is_pinned(label):
     for seed, pin in enumerate(GEN_PINS[label]):
         text = "\n".join(emit_smap("p", random_smap(logic, seed)))
         assert hashlib.sha256(text.encode()).hexdigest() == pin, (label, seed)
+
+
+#: sha256 of the whole `gen` output (logic, diagonal state and s-map, as
+#: `qlogic gen FAMILY N --seed S` prints it) for s in 0..2, on the smallest
+#: and largest stock sizes and a horizontal sum of three unequal blocks
+GEN_OUTPUT_PINS = {
+    "mo-1": (
+        "b14e55bfa8f2c0ab3b8dd5b029a97fd0b42c7368c1ef2944bfd02e9a2653da01",
+        "d3972afe6db23be4024f8097ffe084d40cf96847db26fee49ce8687669cf9bf7",
+        "f95eed8c21d111136184b80d160c6cfa791480adab7693f2b81b0b2c7a4f5344",
+    ),
+    "mo-8": (
+        "52d558b3cffdf7922378a7627a898316ea283fe07b7a29da04cfd3654d7e74ac",
+        "8f4e7b9a6a75e533e3b4fb8e1e1db153f723e52de552f9e7eb1359aec620858e",
+        "9dbc1e6ab8ed41760d1d21f8e881bd41f83abe525041574986447054e016ffec",
+    ),
+    "boolean-2": (
+        "98d65df14d415ce9d59bffa9744e91863f289d8cf68111cd848348224c4e09c7",
+        "31a017477efca51f7700a2747681cdc770533a81d3dec34cce88a5fc573abd2a",
+        "ed77fc3055cb63b8b0c2282d493930af6851f98be5ccca4911ffa143801344b1",
+    ),
+    "boolean-4": (
+        "320408d52f96e7c00296e895fa7944f5a7f13bea94ab2135f16387024bd413e6",
+        "a8915786e5d5333575c7fff6e2d3ea1c596c7317f3d6331c919465aa62601942",
+        "8f4f27f053e805343a5f00047ad9b3df0ea9ea76b7f2140999b6bb6b7e01aeb7",
+    ),
+    "hs-2-3-4": (
+        "8238216f0a18b0cee50cb49d104c59464519743a04b29bf35f6ee46efe733062",
+        "899592cc98bda22ded0ccb54f9cd1d81d75081f7af01ba956400ee5309f077aa",
+        "3c91f2adbd9d7b61f333f224a58ac47ae3d0479bf1b8d52d7f0ec825d3cdb057",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(GEN_OUTPUT_PINS))
+def test_extreme_stock_sizes_check_and_gen(label, capsys):
+    """`check` passes and `gen` output is unchanged on the degenerate and
+    largest stock sizes: mo(1) and boolean(2) are one block, the element 1
+    is orthogonal to 0 alone, and the additivity folds of `random_smap` sum
+    over one atom or none."""
+    make, arg = PIN_LATTICES[label]
+    logic = make(arg)
+    for seed in range(3):
+        report = roundtrip_suite(logic, 3, seed)
+        assert report.ok and report.trials == 3, (label, seed, report)
+    for seed, pin in enumerate(GEN_OUTPUT_PINS[label]):
+        p = random_smap(logic, seed)
+        text = "\n\n".join("\n".join(chunk) for chunk in (
+            emit_logic(logic), emit_state("m", p.diagonal_state()),
+            emit_smap("p", p)))
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, (label, seed)
+        if make is not horizontal_sum:
+            family, n = label.split("-")
+            assert main(["gen", family, n, "--seed", str(seed)]) == 0
+            assert capsys.readouterr().out == text + "\n"
 
 
 # -- the conversions against a Fraction oracle --------------------------------
