@@ -57,13 +57,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def _parse_file(path):
-    """Shared front half of every file-reading command; ModelFileError and
-    OSError are usage-level failures (exit 2)."""
+    """Shared front half of every file-reading command; ModelFileError,
+    OSError and bytes that are not UTF-8 are usage-level failures (exit 2).
+    """
     try:
         return parse_model(path), None
     except OSError as exc:
         return None, _fail(str(exc), 2)
-    except ModelFileError as exc:
+    except (ModelFileError, UnicodeDecodeError) as exc:
         return None, _fail(f"{path}: {exc}", 2)
 
 

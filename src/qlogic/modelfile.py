@@ -29,8 +29,9 @@ written out and read back.  Blank lines and text after `#` are ignored.
 Numbers are integers, fractions n/d, or decimal literals, in the grammar of
 :func:`qlogic.rational.read_literal`.  All are read exactly, and each
 distinct literal once per file: tables repeat values, 0 and 1 above all.
-Parsing checks syntax and that every referenced element was declared; whether a section's numbers actually form a state, conditional
-state, or s-map is decided by the validators when the section is realized.
+Parsing checks syntax and that every referenced element was declared;
+whether a section's numbers actually form a state, conditional state, or
+s-map is decided by the validators when the section is realized.
 
 Tables may omit entries forced by the axioms: states omit the bounds,
 conditional states omit the 0 and 1 rows, s-maps omit rows and columns for
@@ -119,7 +120,7 @@ def _split_sections(text: str):
     body = []
     groups = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
+        content = raw.partition("#")[0].strip()
         if not content:
             continue
         if content.startswith("["):
@@ -170,53 +171,52 @@ def parse_model_text(text: str) -> ParsedModel:
 
     _parse_logic(parsed, logic_group)
     known = set(parsed.elements) | {ZERO, ONE}
-
-    def resolve(token: str, lineno: int) -> str:
-        if token not in known:
-            raise UnknownElement(lineno, token)
-        return token
-
     numbers = {}  # literal -> value, for this file only
-
-    def number(token: str, lineno: int) -> Fraction:
-        value = numbers.get(token)
-        if value is None:
-            value = numbers[token] = _number(token, lineno)
-        return value
-
     for kind, name, body in bodies:
-        table = {}
-        for lineno, content in body:
-            if kind == "observable":
-                left, sep, right = content.partition("->")
+        table = getattr(parsed, kind_attr(kind))[name] = {}
+        parsed.sections.append((kind, name))
+        if kind == "observable":
+            for lineno, content in body:
+                left, sep, target = content.partition("->")
                 if not sep:
                     raise ParseError(lineno, "expected 'value -> element'")
-                value = number(left.strip(), lineno)
-                target = resolve(right.strip(), lineno)
-                key, entry = value, target
+                token, target = left.strip(), target.strip()
+                value = numbers.get(token)
+                if value is None:
+                    value = numbers[token] = _number(token, lineno)
+                if target not in known:
+                    raise UnknownElement(lineno, target)
+                if value in table:
+                    raise ParseError(lineno, f"duplicate entry for {value}")
+                table[value] = target
+            continue
+        pair, shape = {"cond": ("|", "b | a"), "smap": (",", "a , b"),
+                       "state": (None, None)}[kind]
+        for lineno, content in body:
+            left, sep, token = content.partition("=")
+            if not sep:
+                raise ParseError(lineno, "expected '='")
+            token = token.strip()
+            value = numbers.get(token)
+            if value is None:
+                value = numbers[token] = _number(token, lineno)
+            if pair is None:
+                key = left.strip()
+                if key not in known:
+                    raise UnknownElement(lineno, key)
             else:
-                left, sep, right = content.partition("=")
+                a, sep, b = left.partition(pair)
                 if not sep:
-                    raise ParseError(lineno, "expected '='")
-                entry = number(right.strip(), lineno)
-                left = left.strip()
-                if kind == "state":
-                    key = resolve(left, lineno)
-                elif kind == "cond":
-                    b, sep2, a = left.partition("|")
-                    if not sep2:
-                        raise ParseError(lineno, "expected 'b | a = value'")
-                    key = (resolve(b.strip(), lineno), resolve(a.strip(), lineno))
-                else:
-                    a, sep2, b = left.partition(",")
-                    if not sep2:
-                        raise ParseError(lineno, "expected 'a , b = value'")
-                    key = (resolve(a.strip(), lineno), resolve(b.strip(), lineno))
+                    raise ParseError(lineno, f"expected '{shape} = value'")
+                a, b = a.strip(), b.strip()
+                if a not in known:
+                    raise UnknownElement(lineno, a)
+                if b not in known:
+                    raise UnknownElement(lineno, b)
+                key = (a, b)
             if key in table:
                 raise ParseError(lineno, f"duplicate entry for {key}")
-            table[key] = entry
-        getattr(parsed, kind_attr(kind))[name] = table
-        parsed.sections.append((kind, name))
+            table[key] = value
     return parsed
 
 

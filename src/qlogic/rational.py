@@ -72,9 +72,22 @@ def read_literal(text: str) -> Fraction:
     """The exact value of one rational literal (see the module docstring).
 
     Raises ValueError with :func:`check_literal`'s message when `text` is
-    over its caps, and :class:`NotALiteral` when it is no literal.
+    over its caps, and :class:`NotALiteral` when it is no literal.  The
+    length cap is checked first; a plain `n` or `n/d` of decimal digits is
+    then read directly, and the exponent cap is checked only for a token
+    that has an exponent or does not match the grammar at all.
     """
-    match = _LITERAL.fullmatch(check_literal(text))
+    token = text.strip()
+    if len(token) > MAX_LITERAL_CHARS:
+        check_literal(token)  # raises: over the length cap
+    num, slash, den = token.partition("/")
+    if num.isdecimal() and (den.isdecimal() or not slash):
+        den = int(den) if slash else None
+        if den != 0:  # a zero denominator is refused below
+            return Fraction(int(num), den)
+    match = _LITERAL.fullmatch(token)
+    if match is None or match["exp"]:
+        check_literal(token)
     if match is None:
         raise NotALiteral(f"not a rational literal: {text!r}")
     sign, num, den, decimal, exp = match.group("sign", "num", "den",
@@ -104,8 +117,9 @@ def read_literal(text: str) -> Fraction:
 def frac(value) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction.
 
-    Strings are read by :func:`read_literal`.  Floats and bools are refused: pass the literal
-    as a string if decimal notation is what you mean.
+    Strings are read by :func:`read_literal`.  Floats and bools are
+    refused: pass the literal as a string if decimal notation is what you
+    mean.
     """
     if isinstance(value, Fraction):
         return value

@@ -156,6 +156,24 @@ def test_unparsable_file_exits_2(tmp_path, capsys, argv):
     assert "line 3: unknown directive" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{}"],
+    ["derive", "{}", "--from", "smap", "--name", "p"],
+    ["stats", "{}", "--smap", "p", "--x", "x", "--y", "y"],
+], ids=["validate", "derive", "stats"])
+def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
+    """One error line naming the byte offset in the whole file, past a
+    comment longer than any read buffer."""
+    bad = tmp_path / "latin1.qlm"
+    bad.write_bytes(b"[logic]\n# " + b"x" * 10_000 + b"\nelements a a\xe9\n")
+    assert main([arg.format(bad) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: 'utf-8' codec can't decode byte "
+                            "0xe9 in position 10023: invalid continuation "
+                            "byte\n")
+
+
 def test_derive_invalid_input_exits_1(files, capsys):
     assert main(["derive", files["2.2-printed"],
                  "--from", "smap", "--name", "p"]) == 1

@@ -153,6 +153,44 @@ def test_parse_errors(text, line, needle):
     assert needle in str(exc.value)
 
 
+XY = "[logic]\nelements 0 1 x y\ncomplement x y\n"
+
+
+@pytest.mark.parametrize("body,line,message", [
+    # a bad number and an unknown name on one line: the number
+    ("[state m]\nz = 1/0\n", 5, "bad number '1/0'"),
+    ("[cond f]\nz | w = nan\n", 5, "bad number 'nan'"),
+    ("[smap p]\nz , w = 0x1\n", 5, "bad number '0x1'"),
+    ("[observable o]\n1/0 -> z\n", 5, "bad number '1/0'"),
+    # two unknown names on one line: the left one
+    ("[cond f]\nz | w = 1\n", 5, "unknown element 'z'"),
+    ("[cond f]\nx | w = 1\n", 5, "unknown element 'w'"),
+    ("[smap p]\nz , w = 1\n", 5, "unknown element 'z'"),
+    ("[smap p]\nx , w = 1\n", 5, "unknown element 'w'"),
+    # faults on two lines of one section: the earlier line
+    ("[state m]\nx = 1\nz = 1\nx = 1/0\n", 6, "unknown element 'z'"),
+    ("[smap p]\nx , x = 1/0\nz , x = 1\n", 5, "bad number '1/0'"),
+    ("[observable o]\n1 -> x\n2 x\n3 -> z\n", 6,
+     "expected 'value -> element'"),
+    # faults in two sections: the section earlier in the file
+    ("[state m]\nx = 1/0\n[smap p]\nz , x = 1\n", 5, "bad number '1/0'"),
+    ("[smap p]\nz , x = 1\n[state m]\nx = 1/0\n", 5, "unknown element 'z'"),
+    ("[observable o]\n1 -> z\n[cond f]\nx = 1\n", 5, "unknown element 'z'"),
+    # a duplicate entry after a bad line: the bad line, and the other way
+    ("[state m]\nx = 1/0\nx = 1\nx = 1\n", 5, "bad number '1/0'"),
+    ("[cond f]\nx | y = 1\nx | y = 1\nx | y = 1/0\n", 6,
+     "duplicate entry for ('x', 'y')"),
+    ("[observable o]\n1 -> x\n1 -> y\n1/0 -> x\n", 6,
+     "duplicate entry for 1"),
+])
+def test_parse_reports_the_first_fault(body, line, message):
+    """Fields are read left to right except that a line's number comes
+    before its names; lines and sections in file order."""
+    with pytest.raises(ParseError) as exc:
+        parse_model_text(XY + body)
+    assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
+
+
 def test_bounds_may_be_left_out_of_elements():
     model = realize_model(parse_model_text(MINIMAL.replace("0 1 a a'", "a a'")))
     assert model.logic.names == ("a", "a'", ZERO, ONE)
