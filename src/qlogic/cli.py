@@ -2,15 +2,16 @@
 
 Exit codes are part of the contract: 0 for success (including an expected
 failure reproduced by `repro`), 1 when a model or check fails, 2 for
-unreadable input or bad usage.  All machine-readable output goes to stdout
-as `key=value` lines with exact fractions; correlations are the only
-floats and are printed with nine decimal places.
+unreadable input, bad usage or a standard output closed early.  All
+machine-readable output goes to stdout as `key=value` lines with exact
+fractions; correlations are the only floats, printed to nine places.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .errors import ModelFileError, QLogicError
@@ -339,7 +340,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        print(end="", flush=True)  # a closed pipe fails here, not at exit
+    except BrokenPipeError:  # the reader left; the flush at exit goes nowhere
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return _fail("standard output closed before all output was written", 2)
+    return code
 
 
 if __name__ == "__main__":

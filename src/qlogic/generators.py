@@ -355,14 +355,6 @@ class SuiteReport:
         return self.failed == 0
 
 
-def _common_columns(f):
-    """f's columns, keyed by member index, over their least common
-    denominator, and that denominator."""
-    one = math.lcm(*(d for _, d in f.columns.values()))
-    return {a: [v * (one // d) for v in num]
-            for a, (num, d) in f.columns.items()}, one
-
-
 def smap_law_scan(p: SMap) -> str | None:
     """The derived s-map laws, checked exhaustively on one s-map.
 
@@ -417,7 +409,7 @@ def independence_law_scan(f) -> str | None:
     pair, and only a pair that fails is walked b by b."""
     logic = f.logic
     names, comp = logic.names, logic._comp
-    col, one = _common_columns(f)
+    col, one = f._common_columns
     compatible = _compatibility(logic)
     # b is independent of a given c (where f(c | a) = 1) iff
     # f(b | c) = f(b | a), that is col[c][b] == col[a][b]
@@ -455,7 +447,7 @@ def product_equivalence_scan(p: SMap, f) -> str | None:
     conditional state derived from an s-map does)."""
     names = p.logic.names
     rows, den = p.rows(), p.den
-    col, one = _common_columns(f)
+    col, one = f._common_columns
     top = p.logic.index(ONE)
     given_one = col[top]
     for a, col_a in col.items():

@@ -56,7 +56,7 @@ class QuantumLogic:
     """
 
     __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
-                 "_orth_pairs", "_blocks", "_compatible", "_pairs")
+                 "_orth_pairs", "_blocks", "_compatible")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -77,8 +77,6 @@ class QuantumLogic:
         #: `is_compatible` as an index table, kept by the first
         #: `generators._compatibility` call
         self._compatible = None
-        #: every ordered pair of names, kept by the first `_name_pairs` call
-        self._pairs = None
 
     # -- basic access -------------------------------------------------------
 
@@ -108,13 +106,6 @@ class QuantumLogic:
             return self._index[name]
         except KeyError:
             raise UnknownElementError(name) from None
-
-    def _name_pairs(self) -> tuple[tuple[str, str], ...]:
-        """Every ordered pair (a, b) of names, row-major: the keys of a
-        table's name-keyed `values`, built once per lattice and shared."""
-        if self._pairs is None:
-            self._pairs = tuple((a, b) for a in self.names for b in self.names)
-        return self._pairs
 
     @property
     def nonzero_elements(self) -> tuple[str, ...]:

@@ -148,12 +148,6 @@ def common_denominator(values) -> tuple[tuple, int]:
                   for r in ratios]), den
 
 
-def shared_fractions(num, den: int) -> dict:
-    """numerator -> Fraction(numerator, den), built once for each distinct
-    value in `num`, so that equal cells share one Fraction."""
-    return {v: Fraction(v, den) for v in set(num)}
-
-
 def reduced(num, den: int) -> tuple[tuple[int, ...], int]:
     """The integer table num / den in lowest terms."""
     g = math.gcd(den, *num)

@@ -11,16 +11,15 @@ An s-map is one integer table: the n^2 values as numerators in row-major
 `logic.names` order over one denominator, in lowest terms.  The axiom
 checks, both conversions and the law scans work on that table.  Names and
 Fractions appear only at the boundary: the name-keyed constructor and
-validator, `__call__`, `values`, and the witnesses in errors.  The
-constructor resolves names and coerces values but checks no axiom; the
-validator is the constructor followed by `_check_smap`.
+validator, `__call__`, `values` (a read-only view), and the witnesses in
+errors.  The constructor resolves names and coerces values but checks no
+axiom; the validator is the constructor followed by `_check_smap`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 
 from .errors import (
@@ -32,11 +31,12 @@ from .errors import (
     S3Violation,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac, reduced, shared_fractions
+from .rational import common_denominator, frac, reduced
 from .states import (
     ConditionalState,
     State,
     _check_cells,
+    _TableView,
     conditional_system_generated,
 )
 
@@ -46,21 +46,19 @@ class SMap:
 
     `num` holds p(a, b) for a, b in `logic.names`, row-major, as integer
     numerators over `den` in lowest terms, so equal s-maps have equal
-    tables.  `values` holds the same numbers as Fractions keyed by (a, b).
+    tables.  `values` is a read-only view of them as Fractions keyed by (a, b).
     """
 
     def __init__(self, logic: QuantumLogic, values):
         """Read {(a, b): value} in one pass, entry by entry: resolve a and
-        b, then coerce the value with `frac` and write it to its cell under
-        the caller's key.  A cell the table lacks is None in `num`."""
+        b, then coerce the value with `frac` and write it to its cell.  A
+        cell the table lacks is None in `num`."""
         index, n = logic.index, len(logic)
         self.logic = logic
-        self.values = table = {}
         cells = [None] * (n * n)
-        for key, v in values.items():
-            a, b = key
-            cell = index(a) * n + index(b)
-            table[key] = cells[cell] = frac(v)
+        for (a, b), v in values.items():
+            cell = index(a) * n + index(b)  # names before the value
+            cells[cell] = frac(v)
         self.num, self.den = common_denominator(cells)
 
     @classmethod
@@ -72,12 +70,10 @@ class SMap:
         self.num, self.den = reduced(num, den)
         return self
 
-    @cached_property
-    def values(self) -> dict:
-        """One Fraction per distinct numerator, shared by its cells."""
-        value = shared_fractions(self.num, self.den)
-        return dict(zip(self.logic._name_pairs(),
-                        map(value.__getitem__, self.num)))
+    @property
+    def values(self) -> _TableView:
+        lines = {i: (row, self.den) for i, row in enumerate(self.rows())}
+        return _TableView(self.logic, lines, False)
 
     def rows(self) -> list:
         """The numerators, one tuple per row, indexed like `logic.names`."""
@@ -94,10 +90,12 @@ class SMap:
         return f"SMap(logic={self.logic!r}, values={self.values!r})"
 
     def __call__(self, a: str, b: str) -> Fraction:
-        try:
-            return self.values[a, b]
-        except KeyError:
-            raise MissingTableEntry("s-map", (a, b)) from None
+        index = self.logic._index
+        if a in index and b in index:
+            cell = self.num[index[a] * len(index) + index[b]]
+            if cell is not None:
+                return Fraction(cell, self.den)
+        raise MissingTableEntry("s-map", (a, b))
 
     def diagonal_state(self) -> State:
         """The marginal state b -> p(b, b); always valid for a valid s-map."""
@@ -171,7 +169,7 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
     weights = [one[b] * (common // d) for b, (_, d) in enumerate(scaled)]
     num = [column[a] * w for a in range(n)
            for (column, _), w in zip(scaled, weights)]
-    return _named_like(f, SMap.from_table(logic, num, d_one * common))
+    return SMap.from_table(logic, num, d_one * common)
 
 
 def conditional_from_smap(p: SMap) -> ConditionalState:
@@ -192,25 +190,8 @@ def conditional_from_smap(p: SMap) -> ConditionalState:
     extra = closed.members - members
     if extra:
         raise DegenerateDiagonal(min(extra, key=logic.index))
-    return _named_like(p, ConditionalState.from_columns(
-        logic, closed, {b: (num[b::n], diagonal[b]) for b in inside}))
-
-
-def _named_like(source, result):
-    """`result`, with its name-keyed `values` built at once if `source`
-    already has them; a conversion of a sampled table stays a table.
-
-    A conversion of an object read from names is read by name next
-    (emitted or compared), so it builds its Fractions here, as the
-    name-keyed implementation did.  Built later, thousands of new objects
-    arrive while the caller still holds the request's other objects; the
-    garbage collector then moves those to its oldest generation, where
-    they outlive the request.  On the wide-lattices benchmark workload that
-    raised peak memory by 30%.
-    """
-    if "values" in vars(source):
-        result.values  # builds and caches the dict
-    return result
+    return ConditionalState.from_columns(
+        logic, closed, {b: (num[b::n], diagonal[b]) for b in inside})
 
 
 def classical_smap(m: State) -> SMap:

@@ -10,15 +10,17 @@ Everything is exact, so 11/30 stays 11/30.  A conditional state is one
 integer table, a column of numerators over one denominator per member, and
 its axiom checks are integer identities on that table.  Names and Fractions
 appear only at the boundary: the name-keyed constructor and validator,
-`__call__`, `values`, and the witnesses in errors.  Both constructors
-resolve names, refuse events outside the system and coerce values with
-`frac` but check no axiom; each validator is its constructor followed by
-`_check_state_column` or `_check_conditional`.  A state has n cells, not
-n^2, and keeps its name-keyed dict of Fractions.
+`__call__`, `values` (a read-only view of the table), and the witnesses in
+errors.  Both constructors resolve names, refuse events outside the system
+and coerce values with `frac` but check no axiom; each validator is its
+constructor followed by `_check_state_column` or `_check_conditional`.  A
+state has n cells, not n^2, and keeps its name-keyed dict of Fractions.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,7 +42,7 @@ from .errors import (
     ZeroInSeed,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac, reduced, shared_fractions
+from .rational import common_denominator, frac, reduced
 
 
 @dataclass(frozen=True, eq=True)
@@ -111,6 +113,54 @@ def _check_state_column(logic: QuantumLogic, num, den: int) -> None:
         if num[k] != num[i] + num[j]:
             raise AdditivityViolation(names[i], names[j], Fraction(num[k], den),
                                       Fraction(num[i] + num[j], den))
+
+
+class _TableView(Mapping):
+    """`values` of an s-map or a conditional state: a read-only view of its
+    integer table, keyed by names, that builds a Fraction on each read.
+
+    `lines` maps element indices, in index order, to (numerators indexed
+    like `logic.names`, denominator), None marking a hole: an s-map's rows,
+    keyed (a, b), or with `flip` a conditional state's columns, keyed
+    (b, a).  No owner keeps its view, so a view adds no reference cycle.
+    """
+
+    __slots__ = ("_logic", "_lines", "_flip")
+
+    def __init__(self, logic: QuantumLogic, lines: dict, flip: bool):
+        self._logic, self._lines, self._flip = logic, lines, flip
+
+    def __getitem__(self, key) -> Fraction:
+        index = self._logic._index
+        if isinstance(key, tuple) and len(key) == 2:
+            u, v = key[::-1] if self._flip else key
+            line = self._lines.get(index.get(u))
+            if line is not None and v in index and line[0][index[v]] is not None:
+                return Fraction(line[0][index[v]], line[1])
+        raise KeyError(key)
+
+    def __iter__(self):
+        names, flip = self._logic.names, self._flip
+        for line, (num, _) in self._lines.items():
+            for v, cell in zip(names, num):
+                if cell is not None:
+                    yield (v, names[line]) if flip else (names[line], v)
+
+    def __len__(self) -> int:
+        return sum(len(num) - num.count(None) for num, _ in self._lines.values())
+
+    def __eq__(self, other) -> bool:
+        if (isinstance(other, _TableView) and other._flip == self._flip
+                and other._logic.names == self._logic.names
+                and other._lines.keys() == self._lines.keys()):
+            return other._lines == self._lines  # both in lowest terms
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            key in self and self[key] == value for key, value in other.items())
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +247,22 @@ class ConditionalState:
     `columns` maps each member's index, in index order, to the column
     f(. | a): numerators indexed like `logic.names` over one denominator,
     in lowest terms, so equal conditional states have equal tables.
-    `values` holds the same numbers as Fractions keyed by (b, a).
+    `values` is a read-only view of them as Fractions keyed by (b, a).
     """
 
     def __init__(self, logic: QuantumLogic, cs: ConditionalSystem, values):
         """Read {(b, a): value} in one pass, entry by entry: resolve b,
         refuse an a outside cs, then coerce the value with `frac` and write
-        it to its cell under the caller's key.  An entry the table lacks is
-        None in its column."""
+        it to its cell.  An entry the table lacks is None in its column."""
         index, members = logic.index, cs.members
         self.logic, self.cs = logic, cs
-        self.values = table = {}
         cells = {a: [None] * len(logic) for a in members}
-        for key, v in values.items():
-            b, a = key
+        for (b, a), v in values.items():
             row = index(b)
             if a not in members:
                 raise InvalidConditionalSystem(
                     f"entry ({b} | {a}) conditions outside the conditional system")
-            table[key] = cells[a][row] = frac(v)
+            cells[a][row] = frac(v)
         self.columns = {index(a): common_denominator(cells[a])
                         for a in cs.sorted_members()}
 
@@ -229,15 +276,17 @@ class ConditionalState:
         self.columns = {a: reduced(*column) for a, column in columns.items()}
         return self
 
+    @property
+    def values(self) -> _TableView:
+        return _TableView(self.logic, self.columns, True)
+
     @cached_property
-    def values(self) -> dict:
-        """One Fraction per distinct numerator of each column, shared by
-        its cells."""
-        pairs, n, values = self.logic._name_pairs(), len(self.logic), {}
-        for a, (num, den) in self.columns.items():
-            value = shared_fractions(num, den)
-            values.update(zip(pairs[a::n], map(value.__getitem__, num)))
-        return values
+    def _common_columns(self) -> tuple[dict, int]:
+        """The columns over their least common denominator, and that
+        denominator, for two of `qlogic check`'s law scans."""
+        one = math.lcm(*(d for _, d in self.columns.values()))
+        return {a: [v * (one // d) for v in num]
+                for a, (num, d) in self.columns.items()}, one
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConditionalState):

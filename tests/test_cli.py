@@ -17,6 +17,8 @@ from qlogic.cli import build_parser, main
 from qlogic.generators import SuiteReport
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import (
+    ModelFile,
+    emit_model,
     parse_model,
     parse_model_text,
     realize_logic,
@@ -493,13 +495,45 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
     assert len(builds) == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def _module_env() -> dict:
+    """The environment for `python -m qlogic`, with this package first."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     path = [src, os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [src]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
+def test_python_dash_m_runs_the_cli():
+    env = _module_env()
     for module in ("qlogic", "qlogic.cli"):
         done = subprocess.run([sys.executable, "-m", module, "repro", "2.1"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert done.returncode == 0, (module, done.stderr)
         assert "repro 2.1: ok (32/32 checks passed)" in done.stdout
     assert importlib.import_module("qlogic.__main__").main is main
+
+
+def test_a_closed_stdout_is_one_error_line(tmp_path):
+    """`qlogic derive ... | head -n 1`: the reader closes the pipe after one
+    line.  The derived table (about 120 kB) overflows the pipe buffer, so a
+    later write fails; that is one error line and exit 2, not a traceback."""
+    logic = generators.horizontal_sum([5, 5])
+    path = tmp_path / "wide.qlm"
+    model = ModelFile(logic, {}, {}, {"p": generators.random_smap(logic, 0)}, {})
+    path.write_text(emit_model(model), encoding="utf-8")
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qlogic", "derive", str(path), "--from", "smap",
+         "--name", "p"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_module_env())
+    with child:
+        assert child.stdout.readline() == b"[cond p]\n"
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        code = child.wait(timeout=60)
+    assert code == 2, stderr
+    assert stderr == ("error: standard output closed before all output was "
+                      "written\n")
+    # with no standard output at all, the output is dropped, as before
+    done = subprocess.run(["sh", "-c", '"$0" -m qlogic gen mo 2 >&-',
+                           sys.executable], capture_output=True, text=True,
+                          env=_module_env(), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")

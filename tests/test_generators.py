@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -286,3 +288,37 @@ def test_sampler_never_needs_retries(seed):
     p = random_smap(gen_mo(4), seed)
     assert p("1", "1") == 1
     assert all(0 <= v <= 1 for v in p.values.values())
+
+
+def test_statistics_scan_asserts_the_column_sums_of_the_xx_block():
+    """The last assert of `statistics_law_scan`, reached: an unvalidated
+    table whose xx block (x's three atoms against themselves) keeps its
+    diagonal, its row sums and its x-weighted column sum, and so every
+    earlier check, while its column sums move.  With three values X1, X2,
+    X3, the column sums can move only along (X2 - X3, X3 - X1, X1 - X2);
+    the shift below does that with cells off the diagonal and raises
+    x's variance, so Cauchy-Schwarz still holds.  Two atoms leave no such
+    direction, and on one block x and y would share their cells."""
+    logic = horizontal_sum([3, 3])
+    p = random_smap(logic, 3)
+    rng = random.Random(11)
+    assert generators.statistics_law_scan(p, copy.copy(rng)) is None
+    x, _ = generators._derived_observables(logic, copy.copy(rng))
+    X, atoms = list(map(int, x.spectrum)), [logic.index(e) for e in x.elements]
+    assert len(atoms) == 3
+    x1, x2, x3 = X
+    t = 1 if (x2 - x3) * (x2 - x1) * (x1 - x3) > 0 else -1
+    a, c = t * (x2 - x1), t * (x2 - x3)
+    n, num = len(logic), list(p.num)
+    for (i, j), shift in {(0, 1): a, (0, 2): -a, (2, 0): c, (2, 1): -c}.items():
+        num[atoms[i] * n + atoms[j]] += shift
+    q = SMap.from_table(logic, num, p.den)
+    xx = [[q.num[u * n + v] for v in atoms] for u in atoms]
+    diagonal = [xx[i][i] for i in range(3)]
+    assert list(map(sum, xx)) == diagonal
+    assert list(map(sum, zip(*xx))) != diagonal
+    assert (sum(v * sum(col) for v, col in zip(X, zip(*xx)))
+            == sum(v * w for v, w in zip(X, diagonal)))
+    with pytest.raises(AssertionError) as exc:
+        generators.statistics_law_scan(q, copy.copy(rng))
+    assert "zip(*xx)" in str(exc.traceback[-1].statement)

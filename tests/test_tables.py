@@ -10,9 +10,11 @@ oracle written here, and block inference with a copy of the name-keyed
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import random
+import weakref
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -24,6 +26,7 @@ from qlogic import (
     gen_boolean,
     gen_mo,
     horizontal_sum,
+    independence_law_scan,
     infer_blocks,
     random_smap,
     roundtrip_suite,
@@ -47,7 +50,11 @@ from qlogic.modelfile import (
     realize_model,
 )
 from qlogic.smaps import SMap
-from qlogic.states import ConditionalState, State
+from qlogic.states import (
+    ConditionalState,
+    State,
+    validate_conditional_system,
+)
 from test_cli import pasting_model
 from test_generators import _product_with_two
 
@@ -375,11 +382,13 @@ def test_name_constructors_keep_holes(example21):
 def test_name_constructors_resolve_names_and_coerce_values(example21):
     """Built from names, each entry in input order has its names resolved,
     then (for a conditional state) its event checked against the system,
-    then its value coerced with `frac`, as the validators do."""
+    then its value coerced with `frac`, as the validators do.  An s-map's
+    `values` then reads the table in `logic.names` order, not input order;
+    a state keeps its dict in input order."""
     p, f = example21.smaps["p"], example21.conds["f"]
     logic, cs = p.logic, f.cs
     q = SMap(logic, {("b", "a'"): 3, ("a", "a"): "1/2"})
-    assert list(q.values.items()) == [(("b", "a'"), F(3)), (("a", "a"), F(1, 2))]
+    assert list(q.values.items()) == [(("a", "a"), F(1, 2)), (("b", "a'"), F(3))]
     assert q("a", "a") == F(1, 2) and q.num.count(None) == len(q.num) - 2
     g = ConditionalState(logic, cs, {("a", "b"): "0.25", ("1", "b"): 1})
     assert g.values == {("a", "b"): F(1, 4), ("1", "b"): F(1)}
@@ -412,6 +421,119 @@ def test_name_constructors_resolve_names_and_coerce_values(example21):
         State(logic, {"a": 0.5})
     with pytest.raises(TypeError):  # the first entry fails first
         State(logic, {"a": 0.5, "zz": 0})
+
+
+# -- `values`, a read-only view of the table -----------------------------------
+
+
+def test_values_is_a_mapping_in_names_order(example21):
+    """`values` is a read-only mapping over the table: holes and unknown
+    names are missing keys, iteration follows `logic.names` (an s-map row
+    by row, a conditional state member by member, b in names order)."""
+    p, f = example21.smaps["p"], example21.conds["f"]
+    names = p.logic.names
+    members = [a for a in names if a in f.cs]
+    assert list(p.values) == [(a, b) for a in names for b in names]
+    assert list(f.values) == [(b, a) for a in members for b in names]
+    assert len(p.values) == 36 and len(f.values) == 30
+    assert p.values["a", "b"] == p("a", "b") == F(3, 25)
+    assert f.values["b", "a'"] == f("b", "a'") == F(11, 30)
+    assert ("a", "b") in p.values and ("zz", "b") not in p.values
+    assert ("b", "0") not in f.values  # 0 conditions nothing
+    assert p.values.get(("a", "zz")) is None
+    assert f.values.get(("b", "0"), "none") == "none"
+    for view, key in ((p.values, ("zz", "a")), (p.values, ("a",)),
+                      (p.values, "ab"), (p.values, ["a", "b"]),
+                      (f.values, ("b", "0")), (f.values, ("zz", "a"))):
+        with pytest.raises(KeyError):
+            view[key]
+    short = dict(p.values)
+    del short["a", "b'"]
+    partial = SMap(p.logic, short)
+    assert len(partial.values) == 35 and ("a", "b'") not in partial.values
+    with pytest.raises(KeyError):
+        partial.values["a", "b'"]
+    assert dict(partial.values) == short
+    assert list(partial.values) == [k for k in p.values if k != ("a", "b'")]
+    with pytest.raises(TypeError):
+        p.values["a", "b"] = F(0)
+    assert repr(p.values) == repr(dict(p.values))
+
+
+def test_values_equality(example21):
+    """A view equals a dict or another view with the same cells, either
+    way round; a view of a partial table does not equal the full one."""
+    p, f = example21.smaps["p"], example21.conds["f"]
+    for obj in (p, f):
+        table = dict(obj.values)
+        assert obj.values == table and table == obj.values
+        assert not obj.values != table
+        key = next(iter(table))
+        changed = {**table, key: table[key] + 1}
+        assert obj.values != changed and changed != obj.values
+        assert obj.values != {k: v for k, v in table.items() if k != key}
+        del table[key]
+        partial = (SMap(p.logic, table) if obj is p
+                   else ConditionalState(f.logic, f.cs, table))
+        assert partial.values != obj.values and obj.values != partial.values
+        assert partial.values == table and table == partial.values
+        assert obj.values != list(obj.values)
+    assert smap_from_conditional(f).values == p.values
+    assert conditional_from_smap(p).values == f.values
+    assert p.values != f.values
+    # a member with no entries has no keys, like a member outside the system
+    empty = ConditionalState(f.logic, f.cs, {("a", "b"): "1/4"})
+    assert empty.values == {("a", "b"): F(1, 4)}
+    assert empty.values == ConditionalState(
+        f.logic, validate_conditional_system(f.logic, {"b"}),
+        {("a", "b"): "1/4"}).values
+
+
+def _shuffled_literals(values: dict, seed: int) -> dict:
+    """`values` in a shuffled order, each value as an "n/d" string."""
+    items = list(values.items())
+    random.Random(seed).shuffle(items)
+    return {key: f"{v.numerator}/{v.denominator}" for key, v in items}
+
+
+def test_values_read_like_the_name_keyed_dicts(sampled_lattices):
+    """Built by a producer, `dict(obj.values)` is the dict of every cell
+    as a Fraction; read from names, it is the dict that was read, with the
+    values coerced by `frac`."""
+    for logic in sampled_lattices.values():
+        names, n = logic.names, len(logic)
+        p = random_smap(logic, 5)
+        f = conditional_from_smap(p)
+        assert dict(p.values) == {(a, b): F(p.num[i * n + j], p.den)
+                                  for i, a in enumerate(names)
+                                  for j, b in enumerate(names)}
+        assert dict(f.values) == {(b, names[a]): F(v, den)
+                                  for a, (num, den) in f.columns.items()
+                                  for b, v in zip(names, num)}
+        for obj, rebuild in ((p, lambda v: SMap(logic, v)),
+                             (f, lambda v: ConditionalState(logic, f.cs, v))):
+            read = _shuffled_literals(dict(obj.values), n)
+            for key in list(read)[::3]:
+                del read[key]
+            assert dict(rebuild(read).values) == {key: F(v) for key, v in
+                                                  read.items()}
+
+
+def test_values_make_no_reference_cycle(example21):
+    """No object keeps its view, so an s-map or a conditional state whose
+    `values` was read is freed by reference counting alone."""
+    p, f = example21.smaps["p"], example21.conds["f"]
+    gc.disable()
+    try:
+        q = SMap(p.logic, p.values)
+        g = conditional_from_smap(q)
+        assert q.values == p.values and g.values == f.values
+        assert independence_law_scan(g) is None
+        refs = weakref.ref(q), weakref.ref(g)
+        del q, g
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_a_check_trial_stays_on_integers(monkeypatch, mo3):
