@@ -109,12 +109,8 @@ def cmd_derive(args) -> int:
     try:
         logic = realize_logic(parsed)
         obj = REALIZERS[kind](logic, parsed.table(kind, args.name))
-        if kind == "cond":
-            derived = smap_from_conditional(obj)
-            lines = emit_smap(args.name, derived)
-        else:
-            derived = conditional_from_smap(obj)
-            lines = emit_cond(args.name, derived)
+        lines = (emit_smap(args.name, smap_from_conditional(obj)) if kind == "cond"
+                 else emit_cond(args.name, conditional_from_smap(obj)))
     except QLogicError as exc:
         return _fail(str(exc), 1)
     print("\n".join(lines))
@@ -343,10 +339,14 @@ def main(argv=None) -> int:
     try:
         code = args.func(args)
         print(end="", flush=True)  # a closed pipe fails here, not at exit
-    except BrokenPipeError:  # the reader left; the flush at exit goes nowhere
+    except BrokenPipeError:  # the reader left; the flushes at exit go nowhere
         with open(os.devnull, "wb") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return _fail("standard output closed before all output was written", 2)
+            try:
+                _fail("standard output closed before all output was written", 2)
+            except BrokenPipeError:  # standard error went into the same pipe
+                os.dup2(devnull.fileno(), sys.stderr.fileno())
+        return 2
     return code
 
 

@@ -15,6 +15,8 @@ automatically: authors only write the non-trivial part of the Hasse diagram.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from .errors import (
     AxiomViolation,
     BadElementName,
@@ -126,16 +128,10 @@ class QuantumLogic:
         return self.names[self._join[self.index(a)][self.index(b)]]
 
     def join_all(self, elements) -> str:
-        out = ZERO
-        for e in elements:
-            out = self.join(out, e)
-        return out
+        return reduce(self.join, elements, ZERO)
 
     def meet_all(self, elements) -> str:
-        out = ONE
-        for e in elements:
-            out = self.meet(out, e)
-        return out
+        return reduce(self.meet, elements, ONE)
 
     def complement(self, a: str) -> str:
         return self.names[self._comp[self.index(a)]]
@@ -157,30 +153,16 @@ class QuantumLogic:
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse edges (a, b) with a covered by b, in index order."""
-        n = len(self.names)
-        leq = self._leq
-        out = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(leq[i][k] and leq[k][j] and k != i and k != j
-                       for k in range(n)):
-                    continue
-                out.append((self.names[i], self.names[j]))
-        return out
+        names, leq = self.names, self._leq
+        n = len(names)
+        return [(names[i], names[j]) for i in range(n) for j in range(n)
+                if i != j and leq[i][j] and not any(
+                    leq[i][k] and leq[k][j] and k not in (i, j) for k in range(n))]
 
     def atoms(self) -> tuple[str, ...]:
-        zero = self.index(ZERO)
-        n = len(self.names)
-        leq = self._leq
-        out = []
-        for i in range(n):
-            if i == zero:
-                continue
-            if all(k == zero or k == i or not leq[k][i] for k in range(n)):
-                out.append(self.names[i])
-        return tuple(out)
+        zero, leq, n = self.index(ZERO), self._leq, len(self.names)
+        return tuple(self.names[i] for i in range(n) if i != zero and all(
+            k in (zero, i) or not leq[k][i] for k in range(n)))
 
 
 def _closure(n: int, pairs: set[tuple[int, int]]):

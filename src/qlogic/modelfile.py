@@ -264,9 +264,7 @@ def parse_model(path) -> ParsedModel:
 
 def realize_logic(parsed: ParsedModel) -> QuantumLogic:
     elements = list(parsed.elements)
-    for bound in (ZERO, ONE):
-        if bound not in elements:
-            elements.append(bound)
+    elements += [b for b in (ZERO, ONE) if b not in elements]
     return build_logic(elements, parsed.order, parsed.complements)
 
 
@@ -300,11 +298,9 @@ def realize_smap(logic: QuantumLogic, table: dict) -> SMap:
                 values[e, ONE] = values[e, c] + values[e, d]
             if (ONE, e) not in values and (c, e) in values and (d, e) in values:
                 values[ONE, e] = values[c, e] + values[d, e]
-        if (ONE, ONE) not in values:
-            have = all((u, v) in values for u in (c, d) for v in (c, d))
-            if have:
-                values[ONE, ONE] = sum(values[u, v]
-                                       for u in (c, d) for v in (c, d))
+        if (ONE, ONE) not in values and all(
+                (u, v) in values for u in (c, d) for v in (c, d)):
+            values[ONE, ONE] = sum(values[u, v] for u in (c, d) for v in (c, d))
     else:
         values.setdefault((ONE, ONE), Fraction(1))
     return validate_smap(logic, values)
@@ -350,43 +346,31 @@ def emit_logic(logic: QuantumLogic) -> list:
 
 
 def emit_state(name: str, state) -> list:
-    lines = [f"[state {name}]"]
-    for e in state.logic.names:
-        lines.append(f"{e} = {fmt(state(e))}")
-    return lines
+    return [f"[state {name}]"] + [f"{e} = {fmt(state(e))}"
+                                  for e in state.logic.names]
 
 
 def emit_cond(name: str, f: ConditionalState) -> list:
-    lines = [f"[cond {name}]"]
-    for a in f.cs.sorted_members():
-        for b in f.logic.names:
-            lines.append(f"{b} | {a} = {fmt(f(b, a))}")
-    return lines
+    return [f"[cond {name}]"] + [f"{b} | {a} = {fmt(f(b, a))}"
+                                 for a in f.cs.sorted_members()
+                                 for b in f.logic.names]
 
 
 def emit_smap(name: str, p: SMap) -> list:
-    lines = [f"[smap {name}]"]
-    for a in p.logic.names:
-        for b in p.logic.names:
-            lines.append(f"{a} , {b} = {fmt(p(a, b))}")
-    return lines
+    names = p.logic.names
+    return [f"[smap {name}]"] + [f"{a} , {b} = {fmt(p(a, b))}"
+                                 for a in names for b in names]
 
 
 def emit_observable(name: str, x: DiscreteObservable) -> list:
-    lines = [f"[observable {name}]"]
-    for t in x.spectrum:
-        lines.append(f"{fmt(t)} -> {x.element(t)}")
-    return lines
+    return [f"[observable {name}]"] + [f"{fmt(t)} -> {x.element(t)}"
+                                       for t in x.spectrum]
 
 
 def emit_model(model: ModelFile) -> str:
     chunks = [emit_logic(model.logic)]
-    for name, state in model.states.items():
-        chunks.append(emit_state(name, state))
-    for name, f in model.conds.items():
-        chunks.append(emit_cond(name, f))
-    for name, p in model.smaps.items():
-        chunks.append(emit_smap(name, p))
-    for name, x in model.observables.items():
-        chunks.append(emit_observable(name, x))
+    for emit, objects in ((emit_state, model.states), (emit_cond, model.conds),
+                          (emit_smap, model.smaps),
+                          (emit_observable, model.observables)):
+        chunks += [emit(name, obj) for name, obj in objects.items()]
     return "\n\n".join("\n".join(chunk) for chunk in chunks) + "\n"

@@ -72,8 +72,7 @@ class SMap:
 
     @property
     def values(self) -> _TableView:
-        lines = {i: (row, self.den) for i, row in enumerate(self.rows())}
-        return _TableView(self.logic, lines, False)
+        return _TableView(self.logic, self.num, self.den)
 
     def rows(self) -> list:
         """The numerators, one tuple per row, indexed like `logic.names`."""
@@ -90,12 +89,10 @@ class SMap:
         return f"SMap(logic={self.logic!r}, values={self.values!r})"
 
     def __call__(self, a: str, b: str) -> Fraction:
-        index = self.logic._index
-        if a in index and b in index:
-            cell = self.num[index[a] * len(index) + index[b]]
-            if cell is not None:
-                return Fraction(cell, self.den)
-        raise MissingTableEntry("s-map", (a, b))
+        try:
+            return self.values[a, b]
+        except KeyError:
+            raise MissingTableEntry("s-map", (a, b)) from None
 
     def diagonal_state(self) -> State:
         """The marginal state b -> p(b, b); always valid for a valid s-map."""

@@ -119,45 +119,62 @@ class _TableView(Mapping):
     """`values` of an s-map or a conditional state: a read-only view of its
     integer table, keyed by names, that builds a Fraction on each read.
 
-    `lines` maps element indices, in index order, to (numerators indexed
-    like `logic.names`, denominator), None marking a hole: an s-map's rows,
-    keyed (a, b), or with `flip` a conditional state's columns, keyed
-    (b, a).  No owner keeps its view, so a view adds no reference cycle.
+    An s-map's view reads `num`, its row-major numerators over `den`, keyed
+    (a, b).  A conditional state's has `den` None and reads `num` as its
+    columns, member index -> (numerators, denominator), keyed (b, a).  None
+    in a table marks a hole.  No owner keeps its view, so a view adds no
+    reference cycle.
     """
 
-    __slots__ = ("_logic", "_lines", "_flip")
+    __slots__ = ("_logic", "_num", "_den")
 
-    def __init__(self, logic: QuantumLogic, lines: dict, flip: bool):
-        self._logic, self._lines, self._flip = logic, lines, flip
+    def __init__(self, logic: QuantumLogic, num, den: int | None = None):
+        self._logic, self._num, self._den = logic, num, den
+
+    def _line(self, i) -> tuple | None:
+        """Row or column i as (numerators, offset of its first cell,
+        denominator), or None if the table has no such line."""
+        if self._den is not None:
+            return None if i is None else (self._num, i * len(self._logic), self._den)
+        column = self._num.get(i)
+        return column and (column[0], 0, column[1])
 
     def __getitem__(self, key) -> Fraction:
         index = self._logic._index
         if isinstance(key, tuple) and len(key) == 2:
-            u, v = key[::-1] if self._flip else key
-            line = self._lines.get(index.get(u))
-            if line is not None and v in index and line[0][index[v]] is not None:
-                return Fraction(line[0][index[v]], line[1])
+            u, v = key if self._den is not None else key[::-1]
+            line = self._line(index.get(u))
+            if line and v in index:
+                cell = line[0][line[1] + index[v]]
+                if cell is not None:
+                    return Fraction(cell, line[2])
         raise KeyError(key)
 
     def __iter__(self):
-        names, flip = self._logic.names, self._flip
-        for line, (num, _) in self._lines.items():
-            for v, cell in zip(names, num):
+        names, flip = self._logic.names, self._den is None
+        for i in (self._num if flip else range(len(names))):
+            num, start, _ = self._line(i)
+            for v, cell in zip(names, num[start:start + len(names)]):
                 if cell is not None:
-                    yield (v, names[line]) if flip else (names[line], v)
+                    yield (v, names[i]) if flip else (names[i], v)
 
     def __len__(self) -> int:
-        return sum(len(num) - num.count(None) for num, _ in self._lines.values())
+        lines = self._num.values() if self._den is None else [(self._num, 0)]
+        return sum(len(num) - num.count(None) for num, _ in lines)
 
     def __eq__(self, other) -> bool:
-        if (isinstance(other, _TableView) and other._flip == self._flip
+        # equal tables, both in lowest terms, are equal views; other views
+        # are walked, as a column of holes only may be in one of them
+        if (isinstance(other, _TableView)
+                and (other._den is None) == (self._den is None)
                 and other._logic.names == self._logic.names
-                and other._lines.keys() == self._lines.keys()):
-            return other._lines == self._lines  # both in lowest terms
+                and other._num == self._num and other._den == self._den):
+            return True
         if not isinstance(other, Mapping):
             return NotImplemented
+        missing = object()  # equal to no value
         return len(self) == len(other) and all(
-            key in self and self[key] == value for key, value in other.items())
+            self.get(key, missing) == value for key, value in other.items())
 
     def __repr__(self) -> str:
         return repr(dict(self))
@@ -278,7 +295,7 @@ class ConditionalState:
 
     @property
     def values(self) -> _TableView:
-        return _TableView(self.logic, self.columns, True)
+        return _TableView(self.logic, self.columns)
 
     @cached_property
     def _common_columns(self) -> tuple[dict, int]:

@@ -532,6 +532,15 @@ def test_a_closed_stdout_is_one_error_line(tmp_path):
     assert code == 2, stderr
     assert stderr == ("error: standard output closed before all output was "
                       "written\n")
+    # `2>&1 | head -n 1`: the error line goes into the closed pipe as well
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qlogic", "derive", str(path), "--from", "smap",
+         "--name", "p"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=_module_env())
+    with child:
+        assert child.stdout.readline() == b"[cond p]\n"
+        child.stdout.close()
+        assert child.wait(timeout=60) == 2
     # with no standard output at all, the output is dropped, as before
     done = subprocess.run(["sh", "-c", '"$0" -m qlogic gen mo 2 >&-',
                            sys.executable], capture_output=True, text=True,
