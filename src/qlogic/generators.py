@@ -2,10 +2,11 @@
 
 Two lattice families cover the interesting finite territory at desk scale:
 Boolean powerset algebras (everything compatible) and horizontal sums of
-Boolean blocks glued at 0 and 1 (cross-block pairs noncompatible).  On the
-horizontal sums, a seeded sampler produces valid s-maps by drawing each
-cross-block atom table from the transportation polytope with the diagonal
-state as margins, so every draw satisfies the s-map axioms by construction.
+Boolean blocks glued at 0 and 1 (cross-block pairs noncompatible), both
+made by one block builder and refused over MAX_ELEMENTS before it runs.  On
+the horizontal sums, a seeded sampler draws valid s-maps: each cross-block
+atom table comes from the transportation polytope with the diagonal state
+as margins, so every draw satisfies the s-map axioms by construction.
 
 The brute-force routines re-decide compatibility by exhaustive witness
 search; they exist to cross-check the O(1) table identities used everywhere
@@ -23,7 +24,7 @@ from itertools import combinations
 from operator import le
 
 from .errors import QLogicError, SizeOutOfRange, UnsupportedLattice
-from .lattice import ONE, ZERO, QuantumLogic, build_logic
+from .lattice import MAX_ELEMENTS, ONE, ZERO, QuantumLogic, _check_size, build_logic
 from .observables import (
     DiscreteObservable,
     _centered,
@@ -42,29 +43,26 @@ DENOMINATOR_BOUND = 1000
 # lattice constructors
 
 
+def _boolean_block(k: int, name):
+    """The proper nonempty subsets of 1..k, smallest first and each named
+    once by `name` (sorted member tuple -> str), their covering pairs and
+    their complement pairs; :func:`build_logic` adds 0, 1 and the closure."""
+    named = {sum(1 << i for i in s): name(s)
+             for r in range(1, k) for s in combinations(range(1, k + 1), r)}
+    bits = [1 << i for i in range(1, k + 1)]
+    order = [(a, named[m | b]) for m, a in named.items() for b in bits
+             if not m & b and (m | b) in named]
+    complements = [(a, named[sum(bits) - m]) for m, a in named.items()]
+    return list(named.values()), order, complements
+
+
 def gen_boolean(n: int) -> QuantumLogic:
     """Powerset lattice of an n-point set, n in 1..4; subsets are named
     's' plus their sorted member digits."""
     if not 1 <= n <= 4:
         raise SizeOutOfRange(f"boolean family supports 1..4 points, got {n}")
-    points = list(range(1, n + 1))
-    subsets = []
-    for r in range(n + 1):
-        subsets.extend(combinations(points, r))
-
-    def name(s):
-        if not s:
-            return ZERO
-        if len(s) == n:
-            return ONE
-        return "s" + "".join(str(i) for i in s)
-
-    elements = [name(s) for s in subsets]
-    order = [(name(s), name(t)) for s in subsets for t in subsets
-             if set(s) <= set(t)]
-    complements = [(name(s), name(tuple(i for i in points if i not in s)))
-                   for s in subsets]
-    return build_logic(elements, order, complements)
+    elements, *pairs = _boolean_block(n, lambda s: "s" + "".join(map(str, s)))
+    return build_logic([ZERO, *elements, ONE], *pairs)
 
 
 def horizontal_sum(block_sizes) -> QuantumLogic:
@@ -79,27 +77,17 @@ def horizontal_sum(block_sizes) -> QuantumLogic:
         raise SizeOutOfRange("each block needs at least 2 atoms")
     if len(sizes) > len(string.ascii_lowercase):
         raise SizeOutOfRange("too many blocks")
-
-    elements = [ZERO, ONE]
-    order = []
-    complements = []
+    if max(sizes) > MAX_ELEMENTS:  # too large for 2^k even to be counted
+        raise SizeOutOfRange(f"a block of {max(sizes)} atoms has over "
+                             f"{MAX_ELEMENTS} elements")
+    _check_size(2 + sum(2 ** k - 2 for k in sizes))  # before any block is built
+    elements, order, complements = [ZERO, ONE], [], []
     for letter, k in zip(string.ascii_lowercase, sizes):
-        if k == 2:
-            names = {(1,): letter, (2,): letter + "'"}
-        else:
-            names = {}
-            for r in range(1, k):
-                for s in combinations(range(1, k + 1), r):
-                    names[s] = letter + "".join(str(i) for i in s)
-        elements.extend(names[s] for s in sorted(names, key=lambda s: (len(s), s)))
-        full = tuple(range(1, k + 1))
-        for s, sname in names.items():
-            rest = tuple(i for i in full if i not in s)
-            if rest:
-                complements.append((sname, names[rest]))
-            for t, tname in names.items():
-                if set(s) < set(t):
-                    order.append((sname, tname))
+        name = ({(1,): letter, (2,): letter + "'"}.get if k == 2
+                else lambda s: letter + "".join(map(str, s)))
+        for whole, part in zip((elements, order, complements),
+                               _boolean_block(k, name)):
+            whole += part
     return build_logic(elements, order, complements)
 
 

@@ -200,6 +200,12 @@ def _bound_table(names, leq, kind: str):
     return table
 
 
+def _check_size(n: int) -> None:
+    """Refuse a lattice of n elements, n > MAX_ELEMENTS, before it is built."""
+    if n > MAX_ELEMENTS:
+        raise SizeOutOfRange(f"{n} elements exceeds the supported maximum {MAX_ELEMENTS}")
+
+
 def build_logic(elements, order=(), complements=()) -> QuantumLogic:
     """Build and validate a quantum logic.
 
@@ -230,8 +236,7 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
     if ZERO not in seen or ONE not in seen:
         raise MissingBounds("elements must include the bound tokens '0' and '1'")
     n = len(names)
-    if n > MAX_ELEMENTS:
-        raise SizeOutOfRange(f"{n} elements exceeds the supported maximum {MAX_ELEMENTS}")
+    _check_size(n)
 
     index = {name: i for i, name in enumerate(names)}
 

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     DegenerateVariance,
@@ -41,12 +43,15 @@ class DiscreteObservable:
     """A finite-spectrum observable: distinct values mapped to mutually
     orthogonal nonzero events that join to 1.
 
-    Observables are immutable (do not mutate `assignment`), so each one
-    sorts its values once and keeps the result.
+    Observables are immutable (`assignment` is a read-only copy), so each
+    one sorts its values once and keeps the result.
     """
 
     logic: QuantumLogic
-    assignment: dict  # Fraction -> element name
+    assignment: Mapping  # Fraction -> element name
+
+    def __post_init__(self):
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
 
     @cached_property
     def spectrum(self) -> tuple[Fraction, ...]:
@@ -84,7 +89,7 @@ class DiscreteObservable:
 
 def build_observable(logic: QuantumLogic, assignment) -> DiscreteObservable:
     """Validate a value -> event table as a discrete observable."""
-    if isinstance(assignment, dict):
+    if isinstance(assignment, Mapping):
         assignment = assignment.items()
     table: dict[Fraction, str] = {}
     for value, element in assignment:

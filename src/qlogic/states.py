@@ -14,7 +14,7 @@ appear only at the boundary: the name-keyed constructor and validator,
 errors.  Both constructors resolve names, refuse events outside the system
 and coerce values with `frac` but check no axiom; each validator is its
 constructor followed by `_check_state_column` or `_check_conditional`.  A
-state has n cells, not n^2, and keeps its name-keyed dict of Fractions.
+state has n cells, not n^2, and a read-only name-keyed mapping of them.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import (
     AdditivityViolation,
@@ -50,7 +51,7 @@ class State:
     """A finitely additive normalized measure, total on the logic."""
 
     logic: QuantumLogic
-    values: dict
+    values: Mapping
 
     def __post_init__(self):
         """Resolve each name, then coerce its value, entry by entry."""
@@ -58,7 +59,7 @@ class State:
         for a, v in self.values.items():
             self.logic.index(a)
             table[a] = frac(v)
-        object.__setattr__(self, "values", table)
+        object.__setattr__(self, "values", MappingProxyType(table))
 
     def __call__(self, a: str) -> Fraction:
         try:

@@ -87,6 +87,22 @@ def test_size_rejections():
         horizontal_sum([2] * 27)
 
 
+def test_an_oversized_sum_is_refused_before_any_block_is_built(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("a block's subsets were enumerated")
+
+    monkeypatch.setattr(generators, "combinations", no_enumeration)
+    for sizes, count in (([16], 65536), ([7], 128), ([6, 3], 70)):
+        with pytest.raises(SizeOutOfRange) as caught:
+            horizontal_sum(sizes)
+        assert str(caught.value) == (f"{count} elements exceeds the supported "
+                                     f"maximum 64")
+    # 2^k of such a block is not even counted
+    with pytest.raises(SizeOutOfRange, match="^a block of 1000000000 atoms has "
+                                             "over 64 elements$"):
+        horizontal_sum([10 ** 9])
+
+
 def _product_with_two(base):
     """The direct product of a logic with the two-element chain: a valid
     quantum logic that is not a horizontal sum of Boolean blocks."""

@@ -22,6 +22,7 @@ from qlogic import (
     random_smap,
     variance,
 )
+from qlogic import generators
 from qlogic.errors import (
     DegenerateVariance,
     DuplicateValue,
@@ -37,6 +38,20 @@ def test_build_observable(mo2):
     assert x.spectrum == (F(-1), F(1))
     assert x.element(-1) == "a"
     assert x.elements == ("a", "a'")
+
+
+def test_an_observable_cannot_be_changed_after_validation(mo2):
+    x = build_observable(mo2, {-1: "a", 1: "a'"})
+    with pytest.raises(TypeError):
+        x.assignment[F(3)] = "b"
+    assert x.spectrum == (F(-1), F(1)) and F(3) not in x.assignment
+    assert x.assignment == {F(-1): "a", F(1): "a'"}
+    # an observable's own assignment is accepted back, and read-only
+    # observables still compare by their tables
+    assert build_observable(mo2, x.assignment) == x
+    derived, _ = generators._derived_observables(mo2, random.Random(0))
+    with pytest.raises(TypeError):
+        derived.assignment[F(3)] = "b"
 
 
 def test_build_observable_rejections(mo2):

@@ -52,6 +52,17 @@ def test_validate_state_exact_from_strings(mo2):
     assert sum(v for _, v in m.items()) == F(3)  # 0 + 1 + two complement pairs
 
 
+def test_a_state_cannot_be_changed_after_validation(mo2):
+    m = validate_state(mo2, MO2_DIAGONAL)
+    for name in ("a", "zz"):
+        with pytest.raises(TypeError):
+            m.values[name] = F(9)
+    assert m("a") == F(2, 5) and "zz" not in m.values
+    assert m.values == {a: F(v) for a, v in MO2_DIAGONAL.items()}
+    assert list(m.values) == list(MO2_DIAGONAL)  # input order
+    assert validate_state(mo2, m.values) == m
+
+
 def test_floats_are_rejected(mo2):
     with pytest.raises(TypeError):
         validate_state(mo2, dict(MO2_DIAGONAL, a=0.4))
