@@ -5,7 +5,7 @@ satisfying the orthomodular law.  Construction goes through :func:`build_logic`,
 which closes an arbitrary generating order relation, derives total meet/join
 tables, and verifies every axiom before handing out an immutable structure.
 All later operations are table lookups, so a built logic can be shared freely
-across threads.
+across threads, and equal descriptions share one built logic per process.
 
 Element handles are their display names: tokens without whitespace or any
 of the model-file separators (see :func:`is_element_name`).  The tokens "0"
@@ -15,7 +15,7 @@ automatically: authors only write the non-trivial part of the Hasse diagram.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import (
     AxiomViolation,
@@ -34,6 +34,10 @@ ONE = "1"
 
 #: tables are quadratic in the element count; keep inputs desk-scale
 MAX_ELEMENTS = 64
+
+#: how many distinct valid descriptions `build_logic` keeps, the most recently
+#: used ones; a 60-element logic with its kept tables holds about 150 KiB
+_MEMO_SIZE = 32
 
 #: besides whitespace, the characters an element name may not contain: they
 #: (and the arrow "->") separate the fields of a model-file line
@@ -220,11 +224,32 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
         pairs (a, b) pairing each element with its orthocomplement; (0, 1)
         is implicit, and each pair also declares its mirror image.
 
+    Equal descriptions give one shared, immutable object: the last
+    _MEMO_SIZE distinct valid descriptions whose three parts are lists or
+    tuples of hashable entries are kept for the process, with the tables a
+    logic keeps once computed.  Any other input is built afresh, and a
+    refused description is never kept, so every input raises what the
+    builder raises.
+
     Raises the first failure found, in a deterministic element order:
     bad names, missing bounds, order cycles, missing meets/joins, missing
     or conflicting complements, then axioms (iii)-(v).  Axiom (ii), a'' = a,
     holds by construction: each declared pair sets both directions at once.
     """
+    parts = (elements, order, complements)
+    if all(isinstance(part, (list, tuple)) for part in parts):
+        key = tuple(map(tuple, parts))
+        try:
+            hash(key)
+        except TypeError:  # an unhashable name or pair: built afresh below
+            pass
+        else:
+            return _memo(*key)
+    return _build_logic(elements, order, complements)
+
+
+def _build_logic(elements, order=(), complements=()) -> QuantumLogic:
+    """:func:`build_logic` without the memo."""
     names = tuple(elements)
     seen = set()
     for name in names:
@@ -297,3 +322,6 @@ def build_logic(elements, order=(), complements=()) -> QuantumLogic:
         tuple(tuple(row) for row in meet),
         tuple(tuple(row) for row in join),
     )
+
+
+_memo = lru_cache(maxsize=_MEMO_SIZE)(_build_logic)

@@ -20,12 +20,19 @@ import math
 import re
 from fractions import Fraction
 
+from .errors import SizeOutOfRange
+
 
 #: caps on rational literals, so that neither parsing nor the integers the
 #: validators build from them can grow without bound ("1e-1000000" alone
 #: would take a third of a second to read)
 MAX_LITERAL_CHARS = 256
 MAX_LITERAL_EXPONENT = 256
+
+#: cap on the bit length of the common denominator of one table: the
+#: literal caps bound each cell, but the lcm of n^2 distinct denominators
+#: would grow with the cell count (sampled stock tables stay under 210 bits)
+MAX_DENOMINATOR_BITS = 1 << 16
 
 
 def check_literal(text: str) -> str:
@@ -135,6 +142,21 @@ def frac(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
+def bounded_lcm(dens) -> int:
+    """The lcm of the distinct positive integers `dens`; raises
+    SizeOutOfRange as soon as it passes MAX_DENOMINATOR_BITS bits, so the
+    work spent on a table it refuses is bounded too."""
+    if sum(d.bit_length() for d in dens) <= MAX_DENOMINATOR_BITS:
+        return math.lcm(*dens)  # at most the product: within the cap
+    lcm = 1
+    for d in dens:
+        lcm = math.lcm(lcm, d)
+        if lcm.bit_length() > MAX_DENOMINATOR_BITS:
+            raise SizeOutOfRange(f"the common denominator of a table exceeds "
+                                 f"{MAX_DENOMINATOR_BITS} bits")
+    return lcm
+
+
 def common_denominator(values) -> tuple[tuple, int]:
     """The rationals in `values` as integer numerators over their least
     common denominator, and that denominator; None (a missing entry) stays
@@ -143,7 +165,7 @@ def common_denominator(values) -> tuple[tuple, int]:
     numerators.
     """
     ratios = [None if v is None else v.as_integer_ratio() for v in values]
-    den = math.lcm(*{r[1] for r in ratios if r is not None})
+    den = bounded_lcm({r[1] for r in ratios if r is not None})
     return tuple([None if r is None else r[0] * (den // r[1])
                   for r in ratios]), den
 

@@ -18,7 +18,6 @@ axiom; the validator is the constructor followed by `_check_smap`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import add
 
@@ -31,7 +30,7 @@ from .errors import (
     S3Violation,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac, reduced
+from .rational import bounded_lcm, common_denominator, frac, reduced
 from .states import (
     ConditionalState,
     State,
@@ -161,7 +160,7 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
     one, d_one = columns[logic.index(ONE)]
     # with column b = N_b / d_b, p(a, b) = N_b[a] N_1[b] / (d_b d_1), which
     # is N_b[a] w_b over d_1 lcm(d_b), w_b as below (column 0 vanishes)
-    common = math.lcm(*(d for _, d in columns.values()))
+    common = bounded_lcm({d for _, d in columns.values()})
     scaled = [columns.get(b, ((0,) * n, 1)) for b in range(n)]
     weights = [one[b] * (common // d) for b, (_, d) in enumerate(scaled)]
     num = [column[a] * w for a in range(n)

@@ -19,7 +19,6 @@ state has n cells, not n^2, and a read-only name-keyed mapping of them.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,7 +42,7 @@ from .errors import (
     ZeroInSeed,
 )
 from .lattice import ONE, ZERO, QuantumLogic
-from .rational import common_denominator, frac, reduced
+from .rational import bounded_lcm, common_denominator, frac, reduced
 
 
 @dataclass(frozen=True, eq=True)
@@ -204,11 +203,16 @@ class ConditionalSystem:
         return f"ConditionalSystem({{{', '.join(self.sorted_members())}}})"
 
 
-def _check_seed(logic: QuantumLogic, members) -> None:
+def _check_seed(logic: QuantumLogic, members) -> bool:
+    """Refuse an unknown element or 0 in the set `members`; return whether
+    it is every nonzero element.  That set is always a conditional system:
+    a join of nonzero elements is nonzero, and for a < b the orthomodular
+    law b = a v (a' ^ b) makes a' ^ b nonzero."""
     for a in members:
         logic.index(a)
     if ZERO in members:
         raise ZeroInSeed()
+    return len(members) == len(logic) - 1
 
 
 def _closure_gaps(logic: QuantumLogic, members):
@@ -234,9 +238,9 @@ def _closure_gaps(logic: QuantumLogic, members):
 
 def validate_conditional_system(logic: QuantumLogic, members) -> ConditionalSystem:
     members = frozenset(members)
-    _check_seed(logic, members)
-    for _, reason in _closure_gaps(logic, members):
-        raise InvalidConditionalSystem(reason)
+    if not _check_seed(logic, members):
+        for _, reason in _closure_gaps(logic, members):
+            raise InvalidConditionalSystem(reason)
     return ConditionalSystem(logic, members)
 
 
@@ -247,9 +251,9 @@ def conditional_system_generated(logic: QuantumLogic, seed) -> ConditionalSystem
     orthomodular law forbids it), so 0 cannot sneak in during closure.
     """
     members = set(seed)
-    _check_seed(logic, members)
-    while gaps := {missing for missing, _ in _closure_gaps(logic, members)}:
-        members |= gaps
+    if not _check_seed(logic, members):
+        while gaps := {missing for missing, _ in _closure_gaps(logic, members)}:
+            members |= gaps
     return ConditionalSystem(logic, frozenset(members))
 
 
@@ -302,7 +306,7 @@ class ConditionalState:
     def _common_columns(self) -> tuple[dict, int]:
         """The columns over their least common denominator, and that
         denominator, for two of `qlogic check`'s law scans."""
-        one = math.lcm(*(d for _, d in self.columns.values()))
+        one = bounded_lcm({d for _, d in self.columns.values()})
         return {a: [v * (one // d) for v in num]
                 for a, (num, d) in self.columns.items()}, one
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import importlib
 import os
+import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from qlogic.modelfile import (
     realize_smap,
 )
 from qlogic.repro import fixture_text
-from qlogic.rational import fmt
+from qlogic.rational import MAX_DENOMINATOR_BITS, fmt
 from test_generators import _raising_a_cell
 
 
@@ -510,6 +512,33 @@ def test_python_dash_m_runs_the_cli():
         assert done.returncode == 0, (module, done.stderr)
         assert "repro 2.1: ok (32/32 checks passed)" in done.stdout
     assert importlib.import_module("qlogic.__main__").main is main
+
+
+def test_a_table_of_distinct_large_denominators_is_refused_quickly(tmp_path):
+    """A 64-element logic whose [smap] cells are 1/d, each d a distinct
+    241-digit number (about 1 MB of text): the lcm of the denominators
+    passes the cap after about 80 cells, so `validate` stops there.
+    Without the cap it would take about a minute and 2 GB."""
+    rng = random.Random(0)
+    names = ["0", "1"] + [f"a{i}" for i in range(31)] + [f"b{i}" for i in range(31)]
+    lines = ["[logic]", "elements " + " ".join(names)]
+    lines += [f"complement a{i} b{i}" for i in range(31)]
+    lines += ["[smap p]"] + [f"{a} , {b} = 1/{rng.randrange(10 ** 240, 10 ** 241)}"
+                             for a in names for b in names]
+    path = tmp_path / "hostile.qlm"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qlogic", "validate", str(path)],
+                          capture_output=True, text=True, env=_module_env(),
+                          timeout=5)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 1, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.splitlines() == [
+        "logic: ok (64 elements)",
+        f"smap p: INVALID (the common denominator of a table exceeds "
+        f"{MAX_DENOMINATOR_BITS} bits)"]
+    assert elapsed < 1.0, elapsed
 
 
 def test_a_closed_stdout_is_one_error_line(tmp_path):

@@ -25,7 +25,7 @@ from qlogic import (
     validate_smap,
     validate_state,
 )
-from qlogic import generators
+from qlogic import generators, lattice
 from qlogic.errors import SizeOutOfRange, UnsupportedLattice
 from qlogic.generators import DENOMINATOR_BOUND
 from qlogic.smaps import SMap
@@ -205,6 +205,7 @@ def test_distributivity_scan_corpus():
 
 
 def test_compatibility_table_is_built_once_per_lattice(monkeypatch):
+    lattice._memo.cache_clear()  # a lattice no earlier test has built
     logic = horizontal_sum([2, 3])
     calls = []
     is_compatible = type(logic).is_compatible

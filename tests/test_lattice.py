@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlogic
-from qlogic import build_logic, gen_boolean, gen_mo, horizontal_sum
-from qlogic import lattice
+from qlogic import build_logic, cli, gen_boolean, gen_mo, horizontal_sum
+from qlogic import generators, lattice
 from qlogic.errors import (
     AxiomViolation,
     BadElementName,
@@ -24,7 +24,8 @@ from qlogic.errors import (
     SizeOutOfRange,
     UnknownElementError,
 )
-from qlogic.lattice import ONE, ZERO
+from qlogic.lattice import ONE, ZERO, QuantumLogic
+from qlogic.modelfile import ModelFile, emit_model, parse_model_text, realize_logic
 
 
 def test_mo2_structure(mo2):
@@ -318,3 +319,80 @@ def test_build_logic_reports_the_first_missing_bound():
         assert (exc.value.kind, exc.value.a, exc.value.b) == expected
         reported += 1
     assert reported >= 50
+
+
+# -- the memo -----------------------------------------------------------------
+
+
+def test_equal_descriptions_share_one_logic():
+    elements, complements = ["0", "1", "x", "x'"], [("x", "x'")]
+    assert (build_logic(elements, [], complements)
+            is build_logic(tuple(elements), (), tuple(complements)))
+    assert gen_mo(4) is gen_mo(4)
+    text = emit_model(ModelFile(gen_mo(3), {}, {}, {}, {}))
+    assert (realize_logic(parse_model_text(text))
+            is realize_logic(parse_model_text(text)))
+
+
+def test_a_permuted_order_gives_an_equal_logic():
+    elements, order, complements = generators._boolean_block(
+        3, lambda s: "s" + "".join(map(str, s)))
+    logic = build_logic(["0", "1", *elements], order, complements)
+    permuted = build_logic(["0", "1", *elements], order[::-1], complements)
+    assert permuted == logic and hash(permuted) == hash(logic)
+    assert permuted._meet == logic._meet and permuted._join == logic._join
+
+
+def test_a_refused_description_is_refused_again_and_not_kept():
+    description = (["0", "1", "x", "y"], [("x", "y"), ("y", "x")], [("x", "y")])
+    kept = lattice._memo.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(CycleInOrder):
+            build_logic(*description)
+    assert lattice._memo.cache_info().currsize == kept
+
+
+@pytest.mark.parametrize("description", [
+    (["0", "1", ["x"]],),                               # a list as a name
+    (["0", "1", "x", "x'"], [("x", "x'", "1")]),        # an order entry of length 3
+    (["0", "1", "x", "x'"], [5]),                       # an int as an order entry
+    (["0", "1", "x", "x'"], [("x", "zz")]),             # an unknown token
+])
+def test_unusual_inputs_raise_what_the_builder_raises(description):
+    with pytest.raises(Exception) as uncached:
+        lattice._build_logic(*description)
+    for _ in range(2):
+        with pytest.raises(Exception) as memoized:
+            build_logic(*description)
+        assert type(memoized.value) is type(uncached.value)
+        assert str(memoized.value) == str(uncached.value)
+
+
+def test_descriptions_the_memo_cannot_key_are_built_afresh():
+    elements, complements = ["0", "1", "x", "x'"], [("x", "x'")]
+    logic = build_logic(elements, [], complements)
+    for other in (build_logic(iter(elements), (), iter(complements)),
+                  build_logic(elements, [], [list(complements[0])])):
+        assert other == logic and other is not logic
+
+
+def test_the_memo_keeps_at_most_its_bound():
+    bound = lattice._memo.cache_info().maxsize
+    for k in range(bound + 5):
+        build_logic(["0", "1", f"x{k}", f"y{k}"], [], [(f"x{k}", f"y{k}")])
+    assert lattice._memo.cache_info().currsize == bound
+
+
+def test_repeated_check_requests_build_the_compatibility_table_once(
+        monkeypatch, capsys):
+    lattice._memo.cache_clear()
+    calls = []
+    is_compatible = QuantumLogic.is_compatible
+    monkeypatch.setattr(QuantumLogic, "is_compatible",
+                        lambda self, a, b: calls.append(1) or is_compatible(self, a, b))
+    counts = []
+    for seed in ("0", "1"):
+        assert cli.main(["check", "mo", "4", "--trials", "2", "--seed", seed]) == 0
+        counts.append(len(calls))
+    first, second = counts[0], counts[1] - counts[0]
+    assert first - second == len(gen_mo(4)) ** 2  # the table, in the first only

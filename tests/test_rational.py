@@ -4,6 +4,8 @@ model file; and the Fractions of table-built `values`."""
 from __future__ import annotations
 
 import itertools
+import math
+import random
 import re
 import sys
 from fractions import Fraction as F
@@ -12,10 +14,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlogic import conditional_from_smap, random_smap
-from qlogic.errors import ParseError
+from qlogic import conditional_from_smap, gen_mo, random_smap, smap_from_conditional
+from qlogic.errors import ParseError, SizeOutOfRange
 from qlogic.modelfile import parse_model_text, realize_model
-from qlogic.rational import NotALiteral, check_literal, frac, read_literal
+from qlogic.rational import (
+    MAX_DENOMINATOR_BITS,
+    NotALiteral,
+    bounded_lcm,
+    check_literal,
+    common_denominator,
+    frac,
+    read_literal,
+)
+from qlogic.smaps import SMap
+from qlogic.states import ConditionalState, conditional_system_generated
 
 #: token -> value, or ParseError where the token is no literal; the first
 #: two read differently under `Fraction(str)` on Python 3.10 and 3.11
@@ -155,3 +167,45 @@ def test_table_built_values_are_the_per_cell_fractions(sampled_lattices):
         assert f.values == {(b, names[a]): F(v, den)
                             for a, (num, den) in f.columns.items()
                             for b, v in zip(names, num)}
+
+
+# -- the cap on a table's common denominator ----------------------------------
+
+
+def _distinct_odd(count: int, bits: int) -> list[int]:
+    """`count` distinct odd integers of `bits` bits, seeded."""
+    rng = random.Random(5)
+    return [rng.getrandbits(bits - 1) | 1 << (bits - 1) | 1 for _ in range(count)]
+
+
+def test_bounded_lcm_is_the_lcm_within_the_cap():
+    shared = _distinct_odd(1, 2000)[0]
+    dens = {shared * k for k in range(1, 60)}  # 118,000 bits in all
+    assert sum(d.bit_length() for d in dens) > MAX_DENOMINATOR_BITS
+    assert bounded_lcm(dens) == math.lcm(*dens)
+    assert bounded_lcm({4, 6, 9}) == 36 and bounded_lcm(set()) == 1
+
+
+def test_a_common_denominator_over_the_cap_is_refused():
+    dens = _distinct_odd(100, 800)
+    with pytest.raises(SizeOutOfRange, match=f"exceeds {MAX_DENOMINATOR_BITS} bits"):
+        common_denominator([F(1, d) for d in dens])
+    assert common_denominator([F(1, d) for d in dens[:50]])[1] == math.lcm(*dens[:50])
+    logic = gen_mo(4)
+    names = logic.names
+    cells = dict(zip(((a, b) for a in names for b in names), map(F, [1] * 100, dens)))
+    with pytest.raises(SizeOutOfRange):
+        SMap(logic, cells)
+
+
+def test_the_cross_column_denominator_is_bounded():
+    logic = gen_mo(2)
+    cs = conditional_system_generated(logic, logic.nonzero_elements)
+    dens = _distinct_odd(len(logic) - 1, MAX_DENOMINATOR_BITS // 4)
+    columns = {logic.index(a): ((1,) * len(logic), d)
+               for a, d in zip(cs.sorted_members(), dens)}
+    f = ConditionalState.from_columns(logic, cs, columns)
+    with pytest.raises(SizeOutOfRange):
+        smap_from_conditional(f)
+    with pytest.raises(SizeOutOfRange):
+        f._common_columns

@@ -41,6 +41,7 @@ from qlogic.errors import (
     WeightsInvalid,
     ZeroInSeed,
 )
+from qlogic.states import ConditionalSystem, _closure_gaps
 
 MO2_DIAGONAL = {"0": 0, "1": 1, "a": "0.4", "a'": "0.6", "b": "0.3", "b'": "0.7"}
 
@@ -128,6 +129,21 @@ def test_cs_missing_join(mo2):
     with pytest.raises(InvalidConditionalSystem) as exc:
         validate_conditional_system(mo2, {"a", "b", "a'", "b'"})
     assert "join" in str(exc.value)
+
+
+def test_every_nonzero_element_is_a_conditional_system(pasting12):
+    """The set of all nonzero elements skips the closure scan; the scan
+    finds no gap in it, and both routes give the same system."""
+    logics = [gen_mo(n) for n in range(1, 9)] + [gen_boolean(n) for n in range(1, 5)]
+    logics += [horizontal_sum([3, 4]), pasting12]
+    for logic in logics:
+        full = frozenset(logic.nonzero_elements)
+        assert list(_closure_gaps(logic, full)) == []
+        scanned = ConditionalSystem(logic, full)
+        assert conditional_system_generated(logic, full) == scanned
+        assert validate_conditional_system(logic, full) == scanned
+        atoms = logic.atoms()
+        assert conditional_system_generated(logic, atoms) == scanned
 
 
 def _reference_validate_cs(logic, members):
