@@ -146,8 +146,6 @@ def bounded_lcm(dens) -> int:
     """The lcm of the distinct positive integers `dens`; raises
     SizeOutOfRange as soon as it passes MAX_DENOMINATOR_BITS bits, so the
     work spent on a table it refuses is bounded too."""
-    if sum(d.bit_length() for d in dens) <= MAX_DENOMINATOR_BITS:
-        return math.lcm(*dens)  # at most the product: within the cap
     lcm = 1
     for d in dens:
         lcm = math.lcm(lcm, d)

@@ -538,7 +538,7 @@ def test_a_table_of_distinct_large_denominators_is_refused_quickly(tmp_path):
         "logic: ok (64 elements)",
         f"smap p: INVALID (the common denominator of a table exceeds "
         f"{MAX_DENOMINATOR_BITS} bits)"]
-    assert elapsed < 1.0, elapsed
+    assert elapsed < 3.0, elapsed  # start-up included; about 0.3 s unloaded
 
 
 def test_a_closed_stdout_is_one_error_line(tmp_path):
