@@ -55,8 +55,8 @@ from .lattice import (
     is_element_name,
 )
 from .observables import DiscreteObservable, build_observable
-from .rational import NotALiteral, fmt, read_literal
-from .smaps import SMap, validate_smap
+from .rational import NotALiteral, fmt, fmt_ratio, read_literal
+from .smaps import SMap, _check_smap
 from .states import (
     ConditionalState,
     conditional_system_generated,
@@ -268,10 +268,14 @@ def realize_logic(parsed: ParsedModel) -> QuantumLogic:
     return build_logic(elements, parsed.order, parsed.complements)
 
 
+#: the bounds' values, shared by every table that omits them
+_NIL, _UNIT = Fraction(0), Fraction(1)
+
+
 def realize_state(logic: QuantumLogic, table: dict):
     values = dict(table)
-    values.setdefault(ZERO, Fraction(0))
-    values.setdefault(ONE, Fraction(1))
+    values.setdefault(ZERO, _NIL)
+    values.setdefault(ONE, _UNIT)
     return validate_state(logic, values)
 
 
@@ -279,31 +283,36 @@ def realize_cond(logic: QuantumLogic, table: dict) -> ConditionalState:
     values = dict(table)
     members = {a for _, a in values}
     for a in members:
-        values.setdefault((ZERO, a), Fraction(0))
-        values.setdefault((ONE, a), Fraction(1))
+        values.setdefault((ZERO, a), _NIL)
+        values.setdefault((ONE, a), _UNIT)
     cs = conditional_system_generated(logic, members)
     return validate_conditional_state(logic, cs, values)
 
 
 def realize_smap(logic: QuantumLogic, table: dict) -> SMap:
-    values = dict(table)
-    inner = [e for e in logic.names if e not in (ZERO, ONE)]
-    for e in logic.names:
-        values.setdefault((ZERO, e), Fraction(0))
-        values.setdefault((e, ZERO), Fraction(0))
+    """Read every given value exactly, then fill the omitted cells on the
+    integer table: 0 in the 0 row and column, and the 1 row, the 1 column
+    and (1, 1) by additivity over the first complement pair (c, c') where
+    its cells are given.  The sums use only given cells."""
+    p = SMap(logic, table)
+    n, num = len(logic), list(p.num)
+    zero, one = logic.index(ZERO), logic.index(ONE)
+    inner = [e for e in range(n) if e not in (zero, one)]
+    fills = [(cell, ()) for e in range(n) for cell in (zero * n + e, e * n + zero)]
     if inner:  # c' is inner too: it is 0 only for c = 1, 1 only for c = 0
-        c, d = inner[0], logic.complement(inner[0])
-        for e in inner:
-            if (e, ONE) not in values and (e, c) in values and (e, d) in values:
-                values[e, ONE] = values[e, c] + values[e, d]
-            if (ONE, e) not in values and (c, e) in values and (d, e) in values:
-                values[ONE, e] = values[c, e] + values[d, e]
-        if (ONE, ONE) not in values and all(
-                (u, v) in values for u in (c, d) for v in (c, d)):
-            values[ONE, ONE] = sum(values[u, v] for u in (c, d) for v in (c, d))
-    else:
-        values.setdefault((ONE, ONE), Fraction(1))
-    return validate_smap(logic, values)
+        c, d = inner[0], logic._comp[inner[0]]
+        fills += [(e * n + one, (e * n + c, e * n + d)) for e in inner]
+        fills += [(one * n + e, (c * n + e, d * n + e)) for e in inner]
+        fills.append((one * n + one, [u * n + v for u in (c, d) for v in (c, d)]))
+    elif num[one * n + one] is None:
+        num[one * n + one] = p.den
+    for cell, parts in fills:
+        terms = [num[q] for q in parts]
+        if num[cell] is None and None not in terms:
+            num[cell] = sum(terms)
+    p.num = tuple(num)
+    _check_smap(p)
+    return p
 
 
 def realize_observable(logic: QuantumLogic, table: dict) -> DiscreteObservable:
@@ -351,15 +360,17 @@ def emit_state(name: str, state) -> list:
 
 
 def emit_cond(name: str, f: ConditionalState) -> list:
-    return [f"[cond {name}]"] + [f"{b} | {a} = {fmt(f(b, a))}"
-                                 for a in f.cs.sorted_members()
-                                 for b in f.logic.names]
+    names = f.logic.names  # f(b, a) raises MissingTableEntry for a hole
+    return [f"[cond {name}]"] + [
+        f"{b} | {names[a]} = {f(b, names[a]) if v is None else fmt_ratio(v, d)}"
+        for a, (column, d) in f.columns.items() for b, v in zip(names, column)]
 
 
 def emit_smap(name: str, p: SMap) -> list:
-    names = p.logic.names
-    return [f"[smap {name}]"] + [f"{a} , {b} = {fmt(p(a, b))}"
-                                 for a in names for b in names]
+    names = p.logic.names  # p(a, b) raises MissingTableEntry for a hole
+    return [f"[smap {name}]"] + [
+        f"{a} , {b} = {p(a, b) if v is None else fmt_ratio(v, p.den)}"
+        for a, row in zip(names, p.rows()) for b, v in zip(names, row)]
 
 
 def emit_observable(name: str, x: DiscreteObservable) -> list:

@@ -80,9 +80,9 @@ def read_literal(text: str) -> Fraction:
 
     Raises ValueError with :func:`check_literal`'s message when `text` is
     over its caps, and :class:`NotALiteral` when it is no literal.  The
-    length cap is checked first; a plain `n` or `n/d` of decimal digits is
-    then read directly, and the exponent cap is checked only for a token
-    that has an exponent or does not match the grammar at all.
+    length cap is checked first; a plain `n`, `n/d` or `n.m` of decimal
+    digits is then read directly, and the exponent cap is checked only for
+    a token that has an exponent or does not match the grammar at all.
     """
     token = text.strip()
     if len(token) > MAX_LITERAL_CHARS:
@@ -92,6 +92,9 @@ def read_literal(text: str) -> Fraction:
         den = int(den) if slash else None
         if den != 0:  # a zero denominator is refused below
             return Fraction(int(num), den)
+    whole, _, part = token.partition(".")
+    if whole.isdecimal() and part.isdecimal():
+        return Fraction(int(whole + part), 10 ** len(part))
     match = _LITERAL.fullmatch(token)
     if match is None or match["exp"]:
         check_literal(token)
@@ -178,9 +181,13 @@ def reduced(num, den: int) -> tuple[tuple[int, ...], int]:
 
 def fmt(q: Fraction) -> str:
     """Canonical text form: bare integer or 'n/d'."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return fmt_ratio(q.numerator, q.denominator)
+
+
+def fmt_ratio(num: int, den: int) -> str:
+    """`fmt` of num / den, den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def fmt_float(x: float) -> str:

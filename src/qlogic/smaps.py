@@ -71,7 +71,7 @@ class SMap:
 
     @property
     def values(self) -> _TableView:
-        return _TableView(self.logic, self.num, self.den)
+        return _TableView(self, self.num, self.den)
 
     def rows(self) -> list:
         """The numerators, one tuple per row, indexed like `logic.names`."""
@@ -88,10 +88,12 @@ class SMap:
         return f"SMap(logic={self.logic!r}, values={self.values!r})"
 
     def __call__(self, a: str, b: str) -> Fraction:
-        try:
-            return self.values[a, b]
-        except KeyError:
-            raise MissingTableEntry("s-map", (a, b)) from None
+        index, n = self.logic._index, len(self.logic)
+        if a in index and b in index:
+            cell = self.num[index[a] * n + index[b]]
+            if cell is not None:
+                return Fraction(cell, self.den)
+        raise MissingTableEntry("s-map", (a, b))
 
     def diagonal_state(self) -> State:
         """The marginal state b -> p(b, b); always valid for a valid s-map."""

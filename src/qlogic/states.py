@@ -117,44 +117,40 @@ def _check_state_column(logic: QuantumLogic, num, den: int) -> None:
 
 class _TableView(Mapping):
     """`values` of an s-map or a conditional state: a read-only view of its
-    integer table, keyed by names, that builds a Fraction on each read.
+    integer table, keyed by names.  A read is the owner's `__call__`, so a
+    key the owner has no cell for is missing here.
 
-    An s-map's view reads `num`, its row-major numerators over `den`, keyed
-    (a, b).  A conditional state's has `den` None and reads `num` as its
+    An s-map's view walks `num`, its row-major numerators over `den`, keyed
+    (a, b).  A conditional state's has `den` None and walks `num` as its
     columns, member index -> (numerators, denominator), keyed (b, a).  None
     in a table marks a hole.  No owner keeps its view, so a view adds no
     reference cycle.
     """
 
-    __slots__ = ("_logic", "_num", "_den")
+    __slots__ = ("_owner", "_logic", "_num", "_den")
 
-    def __init__(self, logic: QuantumLogic, num, den: int | None = None):
-        self._logic, self._num, self._den = logic, num, den
+    def __init__(self, owner, num, den: int | None = None):
+        self._owner, self._logic, self._num, self._den = owner, owner.logic, num, den
 
-    def _line(self, i) -> tuple | None:
-        """Row or column i as (numerators, offset of its first cell,
-        denominator), or None if the table has no such line."""
-        if self._den is not None:
-            return None if i is None else (self._num, i * len(self._logic), self._den)
-        column = self._num.get(i)
-        return column and (column[0], 0, column[1])
+    def _line(self, i) -> tuple:
+        """The numerators of row or column i."""
+        if self._den is None:
+            return self._num[i][0]
+        n = len(self._logic)
+        return self._num[i * n:(i + 1) * n]
 
     def __getitem__(self, key) -> Fraction:
-        index = self._logic._index
         if isinstance(key, tuple) and len(key) == 2:
-            u, v = key if self._den is not None else key[::-1]
-            line = self._line(index.get(u))
-            if line and v in index:
-                cell = line[0][line[1] + index[v]]
-                if cell is not None:
-                    return Fraction(cell, line[2])
+            try:
+                return self._owner(*key)
+            except MissingTableEntry:
+                pass
         raise KeyError(key)
 
     def __iter__(self):
         names, flip = self._logic.names, self._den is None
         for i in (self._num if flip else range(len(names))):
-            num, start, _ = self._line(i)
-            for v, cell in zip(names, num[start:start + len(names)]):
+            for v, cell in zip(names, self._line(i)):
                 if cell is not None:
                     yield (v, names[i]) if flip else (names[i], v)
 
@@ -300,7 +296,7 @@ class ConditionalState:
 
     @property
     def values(self) -> _TableView:
-        return _TableView(self.logic, self.columns)
+        return _TableView(self, self.columns)
 
     @cached_property
     def _common_columns(self) -> tuple[dict, int]:
@@ -321,10 +317,11 @@ class ConditionalState:
                 f"values={self.values!r})")
 
     def __call__(self, b: str, a: str) -> Fraction:
-        try:
-            return self.values[b, a]
-        except KeyError:
-            raise MissingTableEntry("conditional state", (b, a)) from None
+        index = self.logic._index
+        column = self.columns.get(index.get(a))
+        if column and b in index and column[0][index[b]] is not None:
+            return Fraction(column[0][index[b]], column[1])
+        raise MissingTableEntry("conditional state", (b, a))
 
     def condition(self, a: str) -> State:
         """The state f(. | a) for a fixed conditioning event."""

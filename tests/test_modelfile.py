@@ -39,7 +39,9 @@ from qlogic.modelfile import (
     realize_smap,
     realize_state,
 )
+from qlogic.rational import read_literal
 from qlogic.repro import fixture_text
+from test_literal_reference import outcome, reference_read_literal
 
 MINIMAL = """\
 [logic]
@@ -63,6 +65,16 @@ def test_parse_minimal():
 def test_decimals_parse_exactly():
     parsed = parse_model_text(MINIMAL.replace("0.25", "0.1"))
     assert parsed.states["m"]["a"] == F(1, 10)  # not the binary float
+
+
+@pytest.mark.parametrize("text", [
+    "0.12", "00.500", "0.0", "٣.٤", "１.５", " 2.75 ", "1.", ".5", "1.2.3",
+    "1._5", "1_0.5", "-0.5", "+0.5", "1.5e1", "1.5/2", "².5", "1 .5",
+])
+def test_plain_decimals_read_like_the_grammar(text):
+    """A plain `n.m` is read without the grammar, to the same value; any
+    other token near it still gets the grammar's value or error."""
+    assert outcome(read_literal, text) == outcome(reference_read_literal, text)
 
 
 def test_state_completion_fills_bounds():
@@ -94,6 +106,30 @@ def test_smap_completion_derives_bound_rows(example21):
     assert p("a", "1") == F(2, 5)
     assert p("1", "1") == 1
     assert p("0", "b'") == 0 and p("b'", "0") == 0
+
+
+def test_smap_completion_reads_every_value_first(example21):
+    """The omitted cells are filled after every given value is read, so
+    Fractions, ints and literal strings realize to the same s-map."""
+    logic = gen_mo(1)
+    strings = {("a", "a"): "0.2", ("a", "a'"): "0", ("a'", "a"): "0",
+               ("a'", "a'"): "0.8"}
+    fractions = {key: F(v) for key, v in strings.items()}
+    mixed = {**fractions, ("a", "a'"): 0, ("a'", "a"): 0, ("a", "a"): "1/5"}
+    p = realize_smap(logic, fractions)
+    assert realize_smap(logic, strings) == realize_smap(logic, mixed) == p
+    assert p("a", "1") == p("1", "a") == F(1, 5) and p("1", "1") == 1
+    # the fixture's own literals ("0.12", "0"), read as strings
+    section = fixture_text("2.1").split("[smap p]")[1].split("[observable")[0]
+    literals = {}
+    for line in section.strip().splitlines():
+        key, _, value = line.partition(" = ")
+        u, _, v = key.partition(" , ")
+        literals[u, v] = value
+    p = example21.smaps["p"]
+    assert len(literals) == 16 and realize_smap(p.logic, literals) == p
+    ints = {k: int(v) if v in ("0", "1") else F(v) for k, v in literals.items()}
+    assert realize_smap(p.logic, ints) == p
 
 
 def test_cond_completion_fills_trivial_rows(example21):

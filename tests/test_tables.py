@@ -43,6 +43,7 @@ from qlogic.errors import (
 from qlogic.lattice import ONE, ZERO
 from qlogic.cli import main
 from qlogic.modelfile import (
+    emit_cond,
     emit_logic,
     emit_smap,
     emit_state,
@@ -186,6 +187,33 @@ def test_extreme_stock_sizes_check_and_gen(label, capsys):
             family, n = label.split("-")
             assert main(["gen", family, n, "--seed", str(seed)]) == 0
             assert capsys.readouterr().out == text + "\n"
+
+
+#: sha256 of the emitted s-map and of its conditional state, random_smap(L, 0)
+#: on horizontal_sum([3, 3]), as emitted when each cell was read by name
+EMIT_PINS = (
+    "5f23cbd875aa0c114c529cd75fe0952e3b9691a47944ce9ded5c997c9c99052d",
+    "f5a8b2a4040407cd730b548e0c146a0416a7ac8f7dc833601c0d5d6433691409",
+)
+
+
+def test_emitted_tables_are_pinned():
+    """Emission walks the integer tables; the text is what reading each
+    cell by name printed.  A hole still raises the read's error."""
+    p = random_smap(horizontal_sum([3, 3]), 0)
+    f = conditional_from_smap(p)
+    texts = "\n".join(emit_smap("p", p)), "\n".join(emit_cond("f", f))
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == EMIT_PINS
+    short = dict(p.values)
+    del short["a2", "b13"]
+    with pytest.raises(MissingTableEntry) as exc:
+        emit_smap("p", SMap(p.logic, short))
+    assert exc.value.key == ("a2", "b13")
+    short = dict(f.values)
+    del short["b13", "a2"]
+    with pytest.raises(MissingTableEntry) as exc:
+        emit_cond("f", ConditionalState(f.logic, f.cs, short))
+    assert exc.value.key == ("b13", "a2")
 
 
 # -- the conversions against a Fraction oracle --------------------------------
@@ -377,6 +405,28 @@ def test_name_constructors_keep_holes(example21):
         partial("b")
     assert exc.value.key == "b"
     assert repr(partial) == "State(a: 2/5)"
+
+
+def test_cell_reads_name_the_missing_key(example21):
+    """`p(a, b)` and `f(b | a)` read one cell of the table; an unknown name
+    in either place, a hole, or an event outside the system raises
+    MissingTableEntry with the key as it was asked for."""
+    p, f = example21.smaps["p"], example21.conds["f"]
+    partial = SMap(p.logic, {("a", "b"): "1/4"})
+    g = ConditionalState(f.logic, validate_conditional_system(f.logic, {"b"}),
+                         {("a", "b"): "1/4"})
+    for read, key, what in ((p, ("zz", "a"), "s-map"), (p, ("a", "zz"), "s-map"),
+                            (partial, ("a", "b'"), "s-map"),
+                            (partial, ("0", "0"), "s-map"),
+                            (f, ("zz", "a"), "conditional state"),
+                            (f, ("a", "zz"), "conditional state"),
+                            (f, ("b", "0"), "conditional state"),
+                            (g, ("b", "b"), "conditional state"),
+                            (g, ("a", "a"), "conditional state")):
+        with pytest.raises(MissingTableEntry) as exc:
+            read(*key)
+        assert (exc.value.what, exc.value.key) == (what, key)
+    assert partial("a", "b") == g("a", "b") == F(1, 4)
 
 
 def test_name_constructors_resolve_names_and_coerce_values(example21):
