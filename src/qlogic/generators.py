@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import string
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import le
@@ -32,6 +31,7 @@ from .observables import (
     _classical_covariances,
     _PairStats,
 )
+from .records import FrozenRecord
 from .smaps import SMap, _check_smap, conditional_from_smap, smap_from_conditional
 from .states import State, _check_conditional
 
@@ -331,12 +331,16 @@ def distributivity_scan(logic: QuantumLogic) -> str | None:
 # property suite
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    trials: int
-    passed: int
-    failed: int
-    first_failure: str | None
+class SuiteReport(FrozenRecord):
+    """How many trials of the roundtrip suite ran, passed and failed, and
+    the first failure's description, or None."""
+
+    _fields = ("trials", "passed", "failed", "first_failure")
+
+    def __init__(self, trials: int, passed: int, failed: int,
+                 first_failure: str | None):
+        self.__dict__.update(trials=trials, passed=passed, failed=failed,
+                             first_failure=first_failure)
 
     @property
     def ok(self) -> bool:

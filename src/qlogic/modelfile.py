@@ -42,7 +42,6 @@ order given by its covering pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DuplicateSection, ParseError, UnknownElement
@@ -56,6 +55,7 @@ from .lattice import (
 )
 from .observables import DiscreteObservable, build_observable
 from .rational import NotALiteral, fmt, fmt_ratio, read_literal
+from .records import Record
 from .smaps import SMap, _check_smap
 from .states import (
     ConditionalState,
@@ -67,19 +67,27 @@ from .states import (
 SECTION_KINDS = ("state", "cond", "smap", "observable")
 
 
-@dataclass
-class ParsedModel:
-    """Syntax-checked file content, before any axiom is tested."""
+class ParsedModel(Record):
+    """Syntax-checked file content, before any axiom is tested.  Each
+    field left out starts as a new empty list or dict; `sections` lists
+    (kind, name) in file order, logic excluded."""
 
-    elements: list = field(default_factory=list)
-    order: list = field(default_factory=list)
-    complements: list = field(default_factory=list)
-    states: dict = field(default_factory=dict)
-    conds: dict = field(default_factory=dict)
-    smaps: dict = field(default_factory=dict)
-    observables: dict = field(default_factory=dict)
-    #: (kind, name) in file order, logic excluded
-    sections: list = field(default_factory=list)
+    _fields = ("elements", "order", "complements", "states", "conds", "smaps",
+               "observables", "sections")
+
+    def __init__(self, elements: list | None = None, order: list | None = None,
+                 complements: list | None = None, states: dict | None = None,
+                 conds: dict | None = None, smaps: dict | None = None,
+                 observables: dict | None = None,
+                 sections: list | None = None):
+        self.elements = [] if elements is None else elements
+        self.order = [] if order is None else order
+        self.complements = [] if complements is None else complements
+        self.states = {} if states is None else states
+        self.conds = {} if conds is None else conds
+        self.smaps = {} if smaps is None else smaps
+        self.observables = {} if observables is None else observables
+        self.sections = [] if sections is None else sections
 
     def table(self, kind: str, name: str):
         return getattr(self, kind_attr(kind))[name]
@@ -90,15 +98,15 @@ def kind_attr(kind: str) -> str:
             "observable": "observables"}[kind]
 
 
-@dataclass
-class ModelFile:
+class ModelFile(Record):
     """Fully realized file content: every section passed its validator."""
 
-    logic: QuantumLogic
-    states: dict
-    conds: dict
-    smaps: dict
-    observables: dict
+    _fields = ("logic", "states", "conds", "smaps", "observables")
+
+    def __init__(self, logic: QuantumLogic, states: dict, conds: dict,
+                 smaps: dict, observables: dict):
+        self.logic, self.states, self.conds = logic, states, conds
+        self.smaps, self.observables = smaps, observables
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +288,11 @@ def realize_state(logic: QuantumLogic, table: dict):
 
 
 def realize_cond(logic: QuantumLogic, table: dict) -> ConditionalState:
+    """Fill the omitted 0 and 1 rows, then validate over the conditional
+    system the conditioning events generate; an unknown event is reported
+    in the table's order."""
     values = dict(table)
-    members = {a for _, a in values}
+    members = dict.fromkeys(a for _, a in values)
     for a in members:
         values.setdefault((ZERO, a), _NIL)
         values.setdefault((ONE, a), _UNIT)

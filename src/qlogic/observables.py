@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .lattice import ZERO, QuantumLogic
 from .rational import common_denominator, frac
+from .records import FrozenRecord
 from .smaps import SMap
 from .states import State
 
@@ -38,8 +38,7 @@ from .states import State
 CORRELATION_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=True)
-class DiscreteObservable:
+class DiscreteObservable(FrozenRecord):
     """A finite-spectrum observable: distinct values mapped to mutually
     orthogonal nonzero events that join to 1.
 
@@ -47,11 +46,12 @@ class DiscreteObservable:
     one sorts its values once and keeps the result.
     """
 
-    logic: QuantumLogic
-    assignment: Mapping  # Fraction -> element name
+    _fields = ("logic", "assignment")
 
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+    def __init__(self, logic: QuantumLogic, assignment: Mapping):
+        """`assignment` maps each value (a Fraction) to its event's name."""
+        self.__dict__.update(logic=logic,
+                             assignment=MappingProxyType(dict(assignment)))
 
     @cached_property
     def spectrum(self) -> tuple[Fraction, ...]:
@@ -130,15 +130,16 @@ def _form(us, vs, table):
 # joint statistics
 
 
-@dataclass(frozen=True, eq=True)
-class JointDistribution:
+class JointDistribution(FrozenRecord):
     """The table (t, s) -> p(x(t), y(s)) on the product of two spectra.
     Rows sum to the diagonal state of x's events, columns to y's, and the
     whole table sums to 1."""
 
-    x_spectrum: tuple
-    y_spectrum: tuple
-    table: dict
+    _fields = ("x_spectrum", "y_spectrum", "table")
+
+    def __init__(self, x_spectrum: tuple, y_spectrum: tuple, table: dict):
+        self.__dict__.update(x_spectrum=x_spectrum, y_spectrum=y_spectrum,
+                             table=table)
 
     def __call__(self, t, s) -> Fraction:
         return self.table[frac(t), frac(s)]
@@ -188,15 +189,14 @@ def _check_variances(vx, vy) -> None:
         raise DegenerateVariance("y")
 
 
-@dataclass(frozen=True, eq=True)
-class CovarianceMatrix:
+class CovarianceMatrix(FrozenRecord):
     """Exact 2x2 covariance matrix [[c(x,x), c(x,y)], [c(y,x), c(y,y)]].
     Need not be symmetric when x and y are noncompatible."""
 
-    xx: Fraction
-    xy: Fraction
-    yx: Fraction
-    yy: Fraction
+    _fields = ("xx", "xy", "yx", "yy")
+
+    def __init__(self, xx: Fraction, xy: Fraction, yx: Fraction, yy: Fraction):
+        self.__dict__.update(xx=xx, xy=xy, yx=yx, yy=yy)
 
     @property
     def entries(self):
@@ -303,25 +303,29 @@ def covariance_matrix(p: SMap, x: DiscreteObservable,
 # classical two-space representation
 
 
-@dataclass(frozen=True, eq=True)
-class ClassicalRepresentation:
+class ClassicalRepresentation(FrozenRecord):
     """Two finite classical probability spaces carrying the (x, y) and
     (y, x) joint distributions, with coordinate random variables.
 
     Both coordinate pairs have the marginal means of x and y, the classical
     covariance on the first space equals the exact covariance of (x, y), on
     the second space that of (y, x), and both covariances obey the
-    Cauchy-Schwarz bound against the variances.
+    Cauchy-Schwarz bound against the variances.  The points of the first
+    space are (t, s) with t in sigma(x), those of the second (s, t), and
+    `cov_xy`, `cov_yx` are the classical covariances on the first and the
+    second space.
     """
 
-    outcomes_xy: tuple          # points (t, s), t in sigma(x)
-    measure_xy: dict
-    outcomes_yx: tuple          # points (s, t), s in sigma(y)
-    measure_yx: dict
-    mean_x: Fraction
-    mean_y: Fraction
-    cov_xy: Fraction            # classical covariance on the first space
-    cov_yx: Fraction            # ... and on the second
+    _fields = ("outcomes_xy", "measure_xy", "outcomes_yx", "measure_yx",
+               "mean_x", "mean_y", "cov_xy", "cov_yx")
+
+    def __init__(self, outcomes_xy: tuple, measure_xy: dict,
+                 outcomes_yx: tuple, measure_yx: dict, mean_x: Fraction,
+                 mean_y: Fraction, cov_xy: Fraction, cov_yx: Fraction):
+        self.__dict__.update(
+            outcomes_xy=outcomes_xy, measure_xy=measure_xy,
+            outcomes_yx=outcomes_yx, measure_yx=measure_yx, mean_x=mean_x,
+            mean_y=mean_y, cov_xy=cov_xy, cov_yx=cov_yx)
 
 
 def classical_representation(p: SMap, x: DiscreteObservable,
@@ -366,26 +370,28 @@ def _classical_covariances(stats: _PairStats) -> tuple[int, int]:
 # one-call report
 
 
-@dataclass(frozen=True, eq=True)
-class StatsReport:
-    """Everything the statistics pipeline computes for one pair (x, y)."""
+class StatsReport(FrozenRecord):
+    """Everything the statistics pipeline computes for one pair (x, y).
+    `independence` maps each ordered pair of distinct assigned events to
+    whether the first is independent of the second."""
 
-    nu_x: Fraction
-    nu_y: Fraction
-    moment_xy: Fraction
-    moment_yx: Fraction
-    cov_xy: Fraction
-    cov_yx: Fraction
-    var_x: Fraction
-    var_y: Fraction
-    r_xy: float | None
-    r_yx: float | None
-    matrix: CovarianceMatrix
-    compatible: bool
-    joint_xy: JointDistribution
-    joint_yx: JointDistribution
-    independence: dict  # (event, event) -> bool, over the assigned events
-    notes: tuple
+    _fields = ("nu_x", "nu_y", "moment_xy", "moment_yx", "cov_xy", "cov_yx",
+               "var_x", "var_y", "r_xy", "r_yx", "matrix", "compatible",
+               "joint_xy", "joint_yx", "independence", "notes")
+
+    def __init__(self, nu_x: Fraction, nu_y: Fraction, moment_xy: Fraction,
+                 moment_yx: Fraction, cov_xy: Fraction, cov_yx: Fraction,
+                 var_x: Fraction, var_y: Fraction, r_xy: float | None,
+                 r_yx: float | None, matrix: CovarianceMatrix,
+                 compatible: bool, joint_xy: JointDistribution,
+                 joint_yx: JointDistribution, independence: dict,
+                 notes: tuple):
+        self.__dict__.update(
+            nu_x=nu_x, nu_y=nu_y, moment_xy=moment_xy, moment_yx=moment_yx,
+            cov_xy=cov_xy, cov_yx=cov_yx, var_x=var_x, var_y=var_y,
+            r_xy=r_xy, r_yx=r_yx, matrix=matrix, compatible=compatible,
+            joint_xy=joint_xy, joint_yx=joint_yx, independence=independence,
+            notes=notes)
 
 
 def compute_stats(p: SMap, x: DiscreteObservable,

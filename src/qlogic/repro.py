@@ -11,9 +11,7 @@ success there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction as F
-from importlib import resources
 
 from .errors import S3Violation
 from .modelfile import (
@@ -24,6 +22,7 @@ from .modelfile import (
 )
 from .observables import CORRELATION_TOL, compute_stats
 from .rational import fmt, fmt_float
+from .records import Record
 from .smaps import conditional_from_smap, smap_from_conditional
 
 REPRO_IDS = ("2.1", "2.2-printed", "2.2-corrected")
@@ -62,11 +61,16 @@ EXAMPLE22_STATS = {
 }
 
 
-@dataclass
-class ReproReport:
-    ident: str
-    lines: list = field(default_factory=list)
-    failures: int = 0
+class ReproReport(Record):
+    """The checks of one repro id: one `ok` or `FAIL` line each, and the
+    number that failed."""
+
+    _fields = ("ident", "lines", "failures")
+
+    def __init__(self, ident: str, lines: list | None = None, failures: int = 0):
+        self.ident = ident
+        self.lines = [] if lines is None else lines
+        self.failures = failures
 
     @property
     def ok(self) -> bool:
@@ -81,6 +85,10 @@ class ReproReport:
 
 
 def fixture_text(ident: str) -> str:
+    # imported on first use, not with the package: it takes about a
+    # quarter of the time `import qlogic.cli` takes with it
+    from importlib import resources
+
     name = FIXTURES[ident]
     return resources.files("qlogic").joinpath("fixtures", name).read_text(
         encoding="utf-8")

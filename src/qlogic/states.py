@@ -20,7 +20,6 @@ state has n cells, not n^2, and a read-only name-keyed mapping of them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -43,22 +42,21 @@ from .errors import (
 )
 from .lattice import ONE, ZERO, QuantumLogic
 from .rational import bounded_lcm, common_denominator, frac, reduced
+from .records import FrozenRecord
 
 
-@dataclass(frozen=True, eq=True)
-class State:
+class State(FrozenRecord):
     """A finitely additive normalized measure, total on the logic."""
 
-    logic: QuantumLogic
-    values: Mapping
+    _fields = ("logic", "values")
 
-    def __post_init__(self):
+    def __init__(self, logic: QuantumLogic, values: Mapping):
         """Resolve each name, then coerce its value, entry by entry."""
         table = {}
-        for a, v in self.values.items():
-            self.logic.index(a)
+        for a, v in values.items():
+            logic.index(a)
             table[a] = frac(v)
-        object.__setattr__(self, "values", MappingProxyType(table))
+        self.__dict__.update(logic=logic, values=MappingProxyType(table))
 
     def __call__(self, a: str) -> Fraction:
         try:
@@ -180,13 +178,14 @@ class _TableView(Mapping):
 # conditional systems
 
 
-@dataclass(frozen=True, eq=True)
-class ConditionalSystem:
+class ConditionalSystem(FrozenRecord):
     """Admissible conditioning events: nonzero, join-closed, and closed
     under relative complement of comparable members."""
 
-    logic: QuantumLogic
-    members: frozenset
+    _fields = ("logic", "members")
+
+    def __init__(self, logic: QuantumLogic, members: frozenset):
+        self.__dict__.update(logic=logic, members=members)
 
     def __contains__(self, a: str) -> bool:
         return a in self.members
@@ -199,16 +198,20 @@ class ConditionalSystem:
         return f"ConditionalSystem({{{', '.join(self.sorted_members())}}})"
 
 
-def _check_seed(logic: QuantumLogic, members) -> bool:
-    """Refuse an unknown element or 0 in the set `members`; return whether
-    it is every nonzero element.  That set is always a conditional system:
-    a join of nonzero elements is nonzero, and for a < b the orthomodular
-    law b = a v (a' ^ b) makes a' ^ b nonzero."""
-    for a in members:
+def _check_seed(logic: QuantumLogic, seed) -> tuple[frozenset, bool]:
+    """Refuse an unknown element of `seed`, the first in the caller's order
+    (so the witness does not depend on the hash seed), then 0; return the
+    set of its names and whether that is every nonzero element.  That set
+    is always a conditional system: a join of nonzero elements is nonzero,
+    and for a < b the orthomodular law b = a v (a' ^ b) makes a' ^ b
+    nonzero."""
+    seed = list(seed)
+    for a in seed:
         logic.index(a)
+    members = frozenset(seed)
     if ZERO in members:
         raise ZeroInSeed()
-    return len(members) == len(logic) - 1
+    return members, len(members) == len(logic) - 1
 
 
 def _closure_gaps(logic: QuantumLogic, members):
@@ -233,8 +236,8 @@ def _closure_gaps(logic: QuantumLogic, members):
 
 
 def validate_conditional_system(logic: QuantumLogic, members) -> ConditionalSystem:
-    members = frozenset(members)
-    if not _check_seed(logic, members):
+    members, full = _check_seed(logic, members)
+    if not full:
         for _, reason in _closure_gaps(logic, members):
             raise InvalidConditionalSystem(reason)
     return ConditionalSystem(logic, members)
@@ -246,11 +249,11 @@ def conditional_system_generated(logic: QuantumLogic, seed) -> ConditionalSystem
     The relative complement of a strictly comparable pair is never 0 (the
     orthomodular law forbids it), so 0 cannot sneak in during closure.
     """
-    members = set(seed)
-    if not _check_seed(logic, members):
+    members, full = _check_seed(logic, seed)
+    if not full:
         while gaps := {missing for missing, _ in _closure_gaps(logic, members)}:
             members |= gaps
-    return ConditionalSystem(logic, frozenset(members))
+    return ConditionalSystem(logic, members)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import os
 import random
@@ -512,6 +513,24 @@ def test_python_dash_m_runs_the_cli():
         assert done.returncode == 0, (module, done.stderr)
         assert "repro 2.1: ok (32/32 checks passed)" in done.stdout
     assert importlib.import_module("qlogic.__main__").main is main
+
+
+def test_importing_the_cli_generates_no_code():
+    """Without site, whose .pth files may import more, `import qlogic.cli`
+    loads neither `dataclasses` (nor its `inspect`) nor `importlib.resources`,
+    which `repro` imports on its first fixture read; `repro 2.1` then prints
+    what it printed when both were imported with the package."""
+    env = _module_env()
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, qlogic.cli; print(sorted("
+         "{'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.stdout == "[]\n", done.stderr
+    done = subprocess.run([sys.executable, "-S", "-m", "qlogic", "repro", "2.1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.encode()).hexdigest() == (
+        "baff7db3bbc83008e93664c8d717104a0ef179487c31b0a21c257939ab573043")
 
 
 def test_a_table_of_distinct_large_denominators_is_refused_quickly(tmp_path):

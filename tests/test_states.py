@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 from functools import reduce
 
@@ -42,6 +44,7 @@ from qlogic.errors import (
     ZeroInSeed,
 )
 from qlogic.states import ConditionalSystem, _closure_gaps
+from test_cli import _module_env
 
 MO2_DIAGONAL = {"0": 0, "1": 1, "a": "0.4", "a'": "0.6", "b": "0.3", "b'": "0.7"}
 
@@ -117,6 +120,31 @@ def test_cs_rejects_zero(mo2):
         conditional_system_generated(mo2, {"0", "a"})
     with pytest.raises(ZeroInSeed):
         validate_conditional_system(mo2, {"0"})
+
+
+def test_an_unknown_event_is_reported_in_input_order():
+    """The first unknown name in the caller's order is the witness, whatever
+    the hash seed: the builders of a conditional system and `realize_cond`
+    check names before they put them in a set."""
+    code = """
+from qlogic import gen_mo
+from qlogic.errors import UnknownElementError
+from qlogic.modelfile import realize_cond
+from qlogic.states import conditional_system_generated, validate_conditional_system
+logic, names = gen_mo(2), ["zz", "yy", "xx"]
+for call in (lambda: validate_conditional_system(logic, names),
+             lambda: conditional_system_generated(logic, names),
+             lambda: realize_cond(logic, {("a", a): 0 for a in names})):
+    try:
+        call()
+    except UnknownElementError as exc:
+        print(exc.token)
+"""
+    for seed in range(7):
+        env = {**_module_env(), "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert done.stdout.split() == ["zz"] * 3, (seed, done.stdout, done.stderr)
 
 
 def test_cs_missing_relative_complement(mo2):
