@@ -8,7 +8,7 @@ the references do.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType, SimpleNamespace
