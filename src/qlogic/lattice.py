@@ -71,12 +71,14 @@ class QuantumLogic:
         self._comp = comp  # tuple of int
         self._meet = meet  # tuple of tuples of int
         self._join = join
-        #: orthogonal pairs (i, j, join[i][j]) with i <= j, in index order;
-        #: the validators walk these instead of testing every pair by name
+        #: orthogonal pairs (i, j, join[i][j]) of nonzero elements, i < j,
+        #: in index order, which the validators walk instead of testing every
+        #: pair by name; a pair with 0 would only restate that the value at
+        #: 0 is 0, which the bounds check (states, C1) and S2 establish first
+        zero, n = self._index[ZERO], len(self.names)
         self._orth_pairs = tuple(
-            (i, j, join[i][j])
-            for i in range(len(self.names)) for j in range(i, len(self.names))
-            if leq[i][comp[j]])
+            (i, j, join[i][j]) for i in range(n) for j in range(i + 1, n)
+            if leq[i][comp[j]] and zero not in (i, j))
         #: the Boolean blocks of a horizontal sum, kept by the first
         #: successful `generators.infer_blocks` call
         self._blocks = None

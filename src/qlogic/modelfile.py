@@ -33,6 +33,14 @@ Parsing checks syntax and that every referenced element was declared;
 whether a section's numbers actually form a state, conditional state, or
 s-map is decided by the validators when the section is realized.
 
+The text is split into lines once, at every line break `str.splitlines`
+knows.  Only a line containing `[` can be a section header, and each
+section is then read straight from the line list by its index range.  The
+first fault is reported, in this order: header faults (content before the
+first header, then the first unterminated header, then the first empty,
+unknown, misnamed or duplicate header, then a missing `[logic]`), then the
+`[logic]` section, then the other sections in file order, line by line.
+
 Tables may omit entries forced by the axioms: states omit the bounds,
 conditional states omit the 0 and 1 rows, s-maps omit rows and columns for
 0 and 1 (recovered additively through a complement pair).  Everything else
@@ -122,72 +130,65 @@ def _number(token: str, line: int) -> Fraction:
         raise ParseError(line, f"bad number: {exc}") from None
 
 
-def _split_sections(text: str):
-    """Group numbered lines under their section headers."""
-    header = None
-    body = []
-    groups = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.partition("#")[0].strip()
-        if not content:
-            continue
-        if content.startswith("["):
-            if not content.endswith("]"):
-                raise ParseError(lineno, "unterminated section header")
-            if header is not None:
-                groups.append((header, body))
-            header = (lineno, content[1:-1].split())
-            body = []
-        elif header is None:
-            raise ParseError(lineno, "content before any section header")
-        else:
-            body.append((lineno, content))
-    if header is not None:
-        groups.append((header, body))
-    return groups
-
-
 def parse_model_text(text: str) -> ParsedModel:
-    parsed = ParsedModel()
-    groups = _split_sections(text)
+    """Read `text` in one pass over its lines (see the module docstring);
+    a line's number is its index in the line list + 1."""
+    lines = text.splitlines()
+    heads = []  # (index, header content) in file order
+    for i in [i for i, line in enumerate(lines) if "[" in line]:
+        content = lines[i].partition("#")[0].strip()
+        if content.startswith("["):
+            heads.append((i, content))
+    for i in range(heads[0][0] if heads else len(lines)):
+        if lines[i].partition("#")[0].strip():
+            raise ParseError(i + 1, "content before any section header")
+    for i, content in heads:
+        if not content.endswith("]"):
+            raise ParseError(i + 1, "unterminated section header")
 
-    logic_group = None
+    parsed = ParsedModel()
+    logic_lines = None
     seen = set()
-    bodies = []  # (kind, name, body lines) in file order
-    for (lineno, words), body in groups:
+    ranges = []  # (kind, name, first body index, end index) in file order
+    for (i, content), (end, _) in zip(heads, heads[1:] + [(len(lines), "")]):
+        words = content[1:-1].split()
         if not words:
-            raise ParseError(lineno, "empty section header")
+            raise ParseError(i + 1, "empty section header")
         kind = words[0]
         if kind == "logic":
             if len(words) != 1:
-                raise ParseError(lineno, "[logic] takes no name")
-            if logic_group is not None:
-                raise DuplicateSection(lineno, "logic")
-            logic_group = body
+                raise ParseError(i + 1, "[logic] takes no name")
+            if logic_lines is not None:
+                raise DuplicateSection(i + 1, "logic")
+            logic_lines = (i + 1, end)
         elif kind in SECTION_KINDS:
             if len(words) != 2:
-                raise ParseError(lineno, f"[{kind}] needs exactly one name")
+                raise ParseError(i + 1, f"[{kind}] needs exactly one name")
             name = words[1]
             if (kind, name) in seen:
-                raise DuplicateSection(lineno, f"{kind} {name}")
+                raise DuplicateSection(i + 1, f"{kind} {name}")
             seen.add((kind, name))
-            bodies.append((kind, name, body))
+            ranges.append((kind, name, i + 1, end))
         else:
-            raise ParseError(lineno, f"unknown section kind {kind!r}")
-    if logic_group is None:
+            raise ParseError(i + 1, f"unknown section kind {kind!r}")
+    if logic_lines is None:
         raise ParseError(None, "no [logic] section")
 
-    _parse_logic(parsed, logic_group)
+    _parse_logic(parsed, lines, *logic_lines)
     known = set(parsed.elements) | {ZERO, ONE}
     numbers = {}  # literal -> value, for this file only
-    for kind, name, body in bodies:
+    for kind, name, start, end in ranges:
         table = getattr(parsed, kind_attr(kind))[name] = {}
         parsed.sections.append((kind, name))
         if kind == "observable":
-            for lineno, content in body:
-                left, sep, target = content.partition("->")
+            for lineno, line in enumerate(lines[start:end], start + 1):
+                if "#" in line:
+                    line = line.partition("#")[0]
+                left, sep, target = line.partition("->")
                 if not sep:
-                    raise ParseError(lineno, "expected 'value -> element'")
+                    if line.strip():
+                        raise ParseError(lineno, "expected 'value -> element'")
+                    continue
                 token, target = left.strip(), target.strip()
                 value = numbers.get(token)
                 if value is None:
@@ -200,10 +201,14 @@ def parse_model_text(text: str) -> ParsedModel:
             continue
         pair, shape = {"cond": ("|", "b | a"), "smap": (",", "a , b"),
                        "state": (None, None)}[kind]
-        for lineno, content in body:
-            left, sep, token = content.partition("=")
+        for lineno, line in enumerate(lines[start:end], start + 1):
+            if "#" in line:
+                line = line.partition("#")[0]
+            left, sep, token = line.partition("=")
             if not sep:
-                raise ParseError(lineno, "expected '='")
+                if line.strip():
+                    raise ParseError(lineno, "expected '='")
+                continue
             token = token.strip()
             value = numbers.get(token)
             if value is None:
@@ -228,10 +233,12 @@ def parse_model_text(text: str) -> ParsedModel:
     return parsed
 
 
-def _parse_logic(parsed: ParsedModel, body) -> None:
+def _parse_logic(parsed: ParsedModel, lines, start: int, end: int) -> None:
     declared = []
-    for lineno, content in body:
-        words = content.split()
+    for lineno, line in enumerate(lines[start:end], start + 1):
+        words = (line.partition("#")[0] if "#" in line else line).split()
+        if not words:
+            continue
         directive, args = words[0], words[1:]
         if directive == "elements":
             if not args:
@@ -262,8 +269,11 @@ def _parse_logic(parsed: ParsedModel, body) -> None:
 
 
 def parse_model(path) -> ParsedModel:
+    """Read the file at `path` as UTF-8 without its leading byte-order mark,
+    if any.  The mark is cut after decoding, not by the "utf-8-sig" codec,
+    so a bad byte's reported offset counts from the start of the file."""
     with open(path, encoding="utf-8") as handle:
-        return parse_model_text(handle.read())
+        return parse_model_text(handle.read().removeprefix("\ufeff"))
 
 
 # ---------------------------------------------------------------------------

@@ -131,12 +131,15 @@ def _check_smap(p: SMap) -> None:
     top = logic.index(ONE) * (n + 1)
     if num[top] != den:
         raise S1Violation(Fraction(num[top], den))
-    pairs = logic._orth_pairs
-    nonzero = [(r, c) for i, j, _ in pairs for r, c in ((i, j), (j, i))
-               if num[r * n + c]]
+    # S2 on the 0 row and column, then on both orders of each orthogonal
+    # pair; the first witness is the least cell in row-major order
+    pairs, zero = logic._orth_pairs, logic.index(ZERO)
+    cells = [zero * n + e for e in range(n)] + list(range(zero, n * n, n))
+    cells += [c for i, j, _ in pairs for c in (i * n + j, j * n + i)]
+    nonzero = [c for c in cells if num[c]]
     if nonzero:
-        r, c = min(nonzero)
-        raise S2Violation(names[r], names[c], Fraction(num[r * n + c], den))
+        c = min(nonzero)
+        raise S2Violation(names[c // n], names[c % n], Fraction(num[c], den))
     rows, cols = p.rows(), [num[c::n] for c in range(n)]
     for i, j, k in pairs:
         if (rows[k] == tuple(map(add, rows[i], rows[j]))

@@ -15,12 +15,21 @@ from pathlib import Path
 
 import pytest
 
-from qlogic import cli, generators, repro
+from qlogic import (
+    build_logic,
+    cli,
+    conditional_from_smap,
+    generators,
+    repro,
+    validate_smap,
+)
 from qlogic.cli import build_parser, main
 from qlogic.generators import SuiteReport
 from qlogic.lattice import ONE, ZERO
 from qlogic.modelfile import (
     ModelFile,
+    emit_cond,
+    emit_logic,
     emit_model,
     parse_model,
     parse_model_text,
@@ -177,6 +186,27 @@ def test_file_that_is_not_utf8_exits_2(tmp_path, capsys, argv):
     assert captured.err == (f"error: {bad}: 'utf-8' codec can't decode byte "
                             "0xe9 in position 10023: invalid continuation "
                             "byte\n")
+
+
+def test_a_byte_order_mark_only_starts_a_file(tmp_path, capsys):
+    """A UTF-8 file as Windows editors write it, beginning with a byte-order
+    mark, validates; a bad byte's offset still counts the mark.  U+FEFF
+    anywhere else is an ordinary character, and there it is refused."""
+    text = fixture_text("2.1")
+    marked = tmp_path / "marked.qlm"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert main(["validate", str(marked)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "logic: ok (6 elements)"
+    marked.write_bytes(b"\xef\xbb\xbf[logic]\nelements a a\xe9\n")
+    assert main(["validate", str(marked)]) == 2
+    assert "byte 0xe9 in position 23:" in capsys.readouterr().err
+    inner = tmp_path / "inner.qlm"
+    inner.write_text(text.replace("[cond f]", "\ufeff[cond f]"), encoding="utf-8")
+    assert main(["validate", str(inner)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {inner}: line 11: unknown directive "
+                            "'\\ufeff[cond'\n")
 
 
 def test_derive_invalid_input_exits_1(files, capsys):
@@ -558,6 +588,49 @@ def test_a_table_of_distinct_large_denominators_is_refused_quickly(tmp_path):
         f"smap p: INVALID (the common denominator of a table exceeds "
         f"{MAX_DENOMINATOR_BITS} bits)"]
     assert elapsed < 3.0, elapsed  # start-up included; about 0.3 s unloaded
+
+
+def test_a_valid_conditional_state_of_large_distinct_denominators(tmp_path):
+    """`derive --from cond` on a valid 64-element conditional state whose
+    columns have large, distinct denominators: the horizontal sum of 31
+    two-atom blocks, atom masses x and 1 - x with a distinct 127-digit
+    denominator per block (the longest a 256-character literal can hold),
+    and a product s-map across blocks.  Column b then holds the masses of
+    every other block, about 13,000 bits over one denominator, and the
+    derived s-map about 25,000 bits; the file is about 1 MB."""
+    rng = random.Random(0)
+    names = ["0", "1"] + [f"a{i}" for i in range(31)] + [f"b{i}" for i in range(31)]
+    logic = build_logic(names, (), [(f"a{i}", f"b{i}") for i in range(31)])
+    mass, block = {}, {}
+    for i in range(31):
+        d = rng.randrange(10 ** 126, 10 ** 127)
+        mass[f"a{i}"] = F(rng.randrange(1, d), d)
+        mass[f"b{i}"] = 1 - mass[f"a{i}"]
+        block[f"a{i}"] = block[f"b{i}"] = i
+    below = {ZERO: (), ONE: ("a0", "b0"), **{a: (a,) for a in mass}}
+
+    def atoms(a, b):  # the s-map on a pair of atoms
+        if block[a] != block[b]:
+            return mass[a] * mass[b]
+        return mass[a] if a == b else 0
+
+    p = validate_smap(logic, {(u, v): sum(atoms(a, b) for a in below[u] for b in below[v])
+                              for u in names for v in names})
+    path = tmp_path / "wide_cond.qlm"
+    model = emit_logic(logic) + emit_cond("f", conditional_from_smap(p))
+    path.write_text("\n".join(model) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "qlogic", "derive", str(path),
+                           "--from", "cond", "--name", "f"],
+                          capture_output=True, text=True, env=_module_env(),
+                          timeout=120)
+    elapsed = time.perf_counter() - start
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1 + 64 * 64 and lines[0] == "[smap f]"
+    assert f"a0 , a1 = {fmt(mass['a0'] * mass['a1'])}" in lines
+    assert elapsed < 25.0, elapsed  # start-up included; about 5.5 s unloaded
 
 
 def test_a_closed_stdout_is_one_error_line(tmp_path):
