@@ -20,7 +20,7 @@ import random
 import string
 from fractions import Fraction
 from itertools import combinations
-from operator import le
+from operator import itemgetter, le
 
 from .errors import QLogicError, SizeOutOfRange, UnsupportedLattice
 from .lattice import MAX_ELEMENTS, ONE, ZERO, QuantumLogic, _check_size, build_logic
@@ -174,10 +174,11 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     pair moves a value by u / DENOMINATOR_BOUND of a span whose denominator
     divides the block totals' product times DENOMINATOR_BOUND^(k-1), so over
     `den` below every value is an integer and every draw divides exactly.
+    The draws are `randrange` calls, the stream `randint` would draw.
     """
     blocks = [[logic.index(a) for a in block] for block in infer_blocks(logic)]
-    rng = random.Random(seed)
-    weights = [[rng.randint(1, DENOMINATOR_BOUND) for _ in block]
+    draw = random.Random(seed).randrange
+    weights = [[1 + draw(DENOMINATOR_BOUND) for _ in block]
                for block in blocks]
     totals = [sum(w) for w in weights]
     draws = max(((len(r) - 1) * len(c) for r in blocks for c in blocks
@@ -204,22 +205,23 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
                     if i == len(rows) - 1:
                         t = hi  # last row is forced to the column remainder
                     else:
-                        u = rng.randint(0, DENOMINATOR_BOUND)
+                        u = draw(DENOMINATOR_BOUND + 1)
                         t = lo + (hi - lo) * u // DENOMINATOR_BOUND
                     cells[a][b] = t
                     remaining_row -= t
                     remaining_col[j] -= t
 
     # remaining entries by additivity, summing whole rows over the atoms
-    # below each element, then whole columns; 1 decomposes through the
-    # first block (any block gives the same sums)
-    below = [() if name == ZERO else blocks[0] if name == ONE else
+    # below each element, then whole columns; a row of one atom is copied,
+    # and so is that of 0, which is 0 in both folds; 1 decomposes through
+    # the first block (any block gives the same sums)
+    below = [[e] if name == ZERO else blocks[0] if name == ONE else
              [a for block in blocks for a in block if logic._leq[a][e]]
              for e, name in enumerate(logic.names)]
-    zero = [0] * n
 
     def fold(table):
-        return [list(map(sum, zip(zero, *map(table.__getitem__, atoms))))
+        return [table[atoms[0]] if len(atoms) == 1 else
+                list(map(sum, zip(*map(table.__getitem__, atoms))))
                 for atoms in below]
 
     columns = fold(list(zip(*fold(cells))))
@@ -234,49 +236,33 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
 BRUTE_FORCE_MAX = 24
 
 
-def _witness_groups(logic: QuantumLogic) -> list:
-    """The witness search space: for each element c, by index, the elements
-    x orthogonal to c grouped by the index of x v c."""
-    if len(logic) > BRUTE_FORCE_MAX:
+def _witnessed(logic: QuantumLogic) -> set:
+    """The witness relation, as pairs of indices: (a, b) is in it when some
+    c has x and y orthogonal to c and to each other with x v c = a and
+    y v c = b.  One pass over every such triple (c, x, y) collects it."""
+    leq, comp, join, n = logic._leq, logic._comp, logic._join, len(logic)
+    if n > BRUTE_FORCE_MAX:
         raise SizeOutOfRange(
-            f"witness search is cubic; {len(logic)} elements exceeds "
-            f"{BRUTE_FORCE_MAX}")
-    leq, comp, join = logic._leq, logic._comp, logic._join
-    groups = []
-    for c in range(len(logic)):
-        by_join = {}
-        for x in range(len(logic)):
-            if leq[x][comp[c]]:
-                by_join.setdefault(join[x][c], []).append(x)
-        groups.append(by_join)
-    return groups
-
-
-def _has_witness(logic: QuantumLogic, groups, a, b) -> bool:
-    """Some c has x and y orthogonal to c and to each other, with x v c
-    equal to a and y v c equal to b (all by index)."""
-    leq, comp = logic._leq, logic._comp
-    return any(leq[x][comp[y]] for by_join in groups
-               for x in by_join.get(a, ()) for y in by_join.get(b, ()))
+            f"witness search is cubic; {n} elements exceeds {BRUTE_FORCE_MAX}")
+    orthogonal = [[x for x in range(n) if leq[x][comp[c]]] for c in range(n)]
+    return {(join[x][c], join[y][c]) for c in range(n) for x in orthogonal[c]
+            for y in orthogonal[c] if leq[y][comp[x]]}
 
 
 def brute_force_compatible(logic: QuantumLogic, a: str, b: str) -> bool:
     """Decide compatibility straight from the definition: search every
     triple of mutually orthogonal elements recombining to a and b."""
-    index = logic._index
-    return _has_witness(logic, _witness_groups(logic), index.get(a),
-                        index.get(b))
+    witnessed, index = _witnessed(logic), logic._index
+    return a in index and b in index and (index[a], index[b]) in witnessed
 
 
 def oracle_scan(logic: QuantumLogic) -> str | None:
     """Compare the table identity against the witness search on every pair;
     returns a description of the first disagreement, or None."""
-    groups = _witness_groups(logic)
-    compatible = _compatibility(logic)
+    witnessed, compatible = _witnessed(logic), _compatibility(logic)
     for i, a in enumerate(logic.names):
         for j, b in enumerate(logic.names):
-            fast = compatible[i][j]
-            slow = _has_witness(logic, groups, i, j)
+            fast, slow = compatible[i][j], (i, j) in witnessed
             if fast != slow:
                 return (f"compatibility mismatch at ({a}, {b}): "
                         f"identity says {fast}, witness search says {slow}")
@@ -347,35 +333,65 @@ class SuiteReport(FrozenRecord):
         return self.failed == 0
 
 
+def _law_cells(logic: QuantumLogic) -> tuple:
+    """Gathers of the cells :func:`smap_law_scan` compares on a whole
+    table, by row-major index: the orthogonal cells, which must be 0; two
+    sides that must be equal, each cell (i, j) of a compatible or ordered
+    pair against the diagonal cell of i ^ j and against cell (j, i); and
+    two sides that must be ordered, row i below row j for each ordered pair
+    i < j.  A table that passes meets every cell law of the scan: for
+    ordered i <= j, i ^ j is i, and a cell (i, j) lies below (1, j), which
+    equals (j, 1) and (j, j).  Every s-map passes, as comparable elements
+    are compatible.  The lattice is immutable, so the gathers are built
+    once and kept on it."""
+    if logic._law_cells is None:
+        leq, comp, meet, n = logic._leq, logic._comp, logic._meet, len(logic)
+        cells = [(i, j, i * n + j) for i in range(n) for j in range(n)]
+        equal = [(k, e) for i, j, k in cells
+                 if _compatibility(logic)[i][j] or leq[i][j]
+                 for e in (meet[i][j] * (n + 1), j * n + i)]
+        below = [(i * n + c, j * n + c) for i, j, _ in cells
+                 if i != j and leq[i][j] for c in range(n)]
+        logic._law_cells = tuple(itemgetter(*side) for side in (
+            [k for i, j, k in cells if leq[i][comp[j]]],
+            *zip(*equal), *zip(*below)))
+    return logic._law_cells
+
+
 def smap_law_scan(p: SMap) -> str | None:
     """The derived s-map laws, checked exhaustively on one s-map.
 
-    Monotonicity compares whole rows and the marginal law sums whole rows
-    and columns; only a comparison that fails is walked cell by cell, to
-    name its first failure."""
+    A pre-pass decides the laws of single cells on the whole table at
+    once, through the lattice's kept gathers (see :func:`_law_cells`), and
+    only a table that fails it is walked cell by cell, to name its first
+    failure.  The marginal law sums whole rows and columns, and only a sum
+    that fails is walked in the same way."""
     logic = p.logic
     names, leq, comp, meet = logic.names, logic._leq, logic._comp, logic._meet
     n, num = len(names), p.num
     rows, diagonal = p.rows(), num[::n + 1]
-    compatible = _compatibility(logic)
-    for i, a in enumerate(names):
-        row = rows[i]
-        for j, b in enumerate(names):
-            v = row[j]
-            if leq[i][comp[j]] and v != 0:
-                return f"orthogonal pair ({a}, {b}) with nonzero value"
-            if compatible[i][j]:
-                if not v == diagonal[meet[i][j]] == rows[j][i]:
-                    return f"compatible pair ({a}, {b}) breaks the meet identity"
-            if leq[i][j]:
-                if v != row[i]:
-                    return f"p({a}, {b}) != p({a}, {a}) despite {a} <= {b}"
-                if not all(map(le, row, rows[j])):
-                    c = next(c for c, (u, w) in enumerate(zip(row, rows[j]))
-                             if u > w)
-                    return f"monotonicity fails at ({a}, {b}; {names[c]})"
-            if v > diagonal[j]:
-                return f"p({a}, {b}) exceeds the diagonal at {b}"
+    orthogonal, left, right, lower, upper = _law_cells(logic)
+    if (any(orthogonal(num)) or left(num) != right(num)
+            or not all(map(le, lower(num), upper(num)))):
+        compatible = _compatibility(logic)
+        for i, a in enumerate(names):
+            row = rows[i]
+            for j, b in enumerate(names):
+                v = row[j]
+                if leq[i][comp[j]] and v != 0:
+                    return f"orthogonal pair ({a}, {b}) with nonzero value"
+                if compatible[i][j]:
+                    if not v == diagonal[meet[i][j]] == rows[j][i]:
+                        return f"compatible pair ({a}, {b}) breaks the meet identity"
+                if leq[i][j]:
+                    if v != row[i]:
+                        return f"p({a}, {b}) != p({a}, {a}) despite {a} <= {b}"
+                    if not all(map(le, row, rows[j])):
+                        c = next(c for c, (u, w) in enumerate(zip(row, rows[j]))
+                                 if u > w)
+                        return f"monotonicity fails at ({a}, {b}; {names[c]})"
+                if v > diagonal[j]:
+                    return f"p({a}, {b}) exceeds the diagonal at {b}"
     # marginal law: each block's atoms decompose 1
     columns = [num[c::n] for c in range(n)]
     for block in infer_blocks(logic):

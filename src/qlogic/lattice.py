@@ -7,10 +7,11 @@ tables, and verifies every axiom before handing out an immutable structure.
 All later operations are table lookups, so a built logic can be shared freely
 across threads, and equal descriptions share one built logic per process.
 
-Element handles are their display names: tokens without whitespace or any
-of the model-file separators (see :func:`is_element_name`).  The tokens "0"
-and "1" are reserved for the bounds and are added to the order
-automatically: authors only write the non-trivial part of the Hasse diagram.
+Element handles are their display names: printable tokens without
+whitespace or any of the model-file separators (see
+:func:`is_element_name`).  The tokens "0" and "1" are reserved for the
+bounds and are added to the order automatically: authors only write the
+non-trivial part of the Hasse diagram.
 """
 
 from __future__ import annotations
@@ -42,14 +43,16 @@ _MEMO_SIZE = 32
 #: besides whitespace, the characters an element name may not contain: they
 #: (and the arrow "->") separate the fields of a model-file line
 NAME_SEPARATORS = ",|=#[]"
-NAME_RULE = ("non-empty tokens without whitespace, ',', '|', '=', '->', "
-             "'#', '[' or ']'")
+NAME_RULE = ("non-empty printable tokens without whitespace, ',', '|', '=', "
+             "'->', '#', '[' or ']'")
 
 
 def is_element_name(name) -> bool:
     """The element-name grammar shared by :func:`build_logic` and the model
-    file parser: see NAME_RULE."""
-    return (isinstance(name, str) and name != "" and "->" not in name
+    file parser: see NAME_RULE.  Printable (`str.isprintable`) rules out
+    names that print alike, such as "a" and "a" followed by U+200B."""
+    return (isinstance(name, str) and name != "" and name.isprintable()
+            and "->" not in name
             and not any(c.isspace() or c in NAME_SEPARATORS for c in name))
 
 
@@ -62,7 +65,7 @@ class QuantumLogic:
     """
 
     __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
-                 "_orth_pairs", "_blocks", "_compatible")
+                 "_orth_pairs", "_blocks", "_compatible", "_law_cells")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -85,6 +88,9 @@ class QuantumLogic:
         #: `is_compatible` as an index table, kept by the first
         #: `generators._compatibility` call
         self._compatible = None
+        #: the cell gathers of `generators.smap_law_scan`'s pre-pass, kept by
+        #: the first `generators._law_cells` call
+        self._law_cells = None
 
     # -- basic access -------------------------------------------------------
 

@@ -22,10 +22,10 @@ conditional states, s-maps, and observables:
     -1 -> a
     1 -> a'
 
-Element names are tokens without whitespace, `,`, `|`, `=`, `->`, `#`, `[`
-or `]`, the characters that separate the fields of a line; the parser and
-`build_logic` both enforce this, so every logic the library accepts can be
-written out and read back.  Blank lines and text after `#` are ignored.
+Element names are printable tokens without whitespace, `,`, `|`, `=`, `->`,
+`#`, `[` or `]`, the characters that separate the fields of a line; the
+parser and `build_logic` both enforce this, so every logic the library
+accepts can be written out and read back, and no two names print alike.  Blank lines and text after `#` are ignored.
 Numbers are integers, fractions n/d, or decimal literals, in the grammar of
 :func:`qlogic.rational.read_literal`.  All are read exactly, and each
 distinct literal once per file: tables repeat values, 0 and 1 above all.

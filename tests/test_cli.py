@@ -24,8 +24,9 @@ from qlogic import (
     validate_smap,
 )
 from qlogic.cli import build_parser, main
+from qlogic.errors import ParseError
 from qlogic.generators import SuiteReport
-from qlogic.lattice import ONE, ZERO
+from qlogic.lattice import NAME_RULE, ONE, ZERO
 from qlogic.modelfile import (
     ModelFile,
     emit_cond,
@@ -89,6 +90,24 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     bad.write_text("[logic]\nelements 0 1 x\nfrobnicate\n", encoding="utf-8")
     assert main(["validate", str(bad)]) == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_names_that_print_alike_exit_2(tmp_path, capsys):
+    """An invisible character would let two declared names print alike
+    ('a' and 'a' with a zero-width space); the parser refuses the first
+    such name and names its line."""
+    bad = tmp_path / "invisible.qlm"
+    bad.write_text("[logic]\n# a and b twice\nelements 0 1 a a\u200b b b\ufeff\n"
+                   "complement a a\u200b\ncomplement b b\ufeff\n",
+                   encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad}: line 3: bad element name "
+                            f"'a\\u200b': names are {NAME_RULE}\n")
+    with pytest.raises(ParseError) as exc:
+        parse_model(str(bad))
+    assert exc.value.line == 3
 
 
 def test_validate_without_logic_names_no_line(tmp_path, capsys):

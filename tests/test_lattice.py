@@ -24,7 +24,7 @@ from qlogic.errors import (
     SizeOutOfRange,
     UnknownElementError,
 )
-from qlogic.lattice import ONE, ZERO, QuantumLogic
+from qlogic.lattice import NAME_RULE, ONE, ZERO, QuantumLogic
 from qlogic.modelfile import ModelFile, emit_model, parse_model_text, realize_logic
 
 
@@ -100,10 +100,16 @@ def test_structural_equality(mo2, example21):
 
 
 def test_bad_names():
-    # whitespace and the model-file separators would not survive emission
-    for name in ("a b", "", "a,b", "c|d", "x=y", "p->q", "x#", "[y]", "z]", 7):
+    # whitespace and the model-file separators would not survive emission,
+    # and a name with an unprintable character prints like another name
+    for name in ("a b", "", "a,b", "c|d", "x=y", "p->q", "x#", "[y]", "z]", 7,
+                 "a\u200b", "b\ufeff", "\u200b", "c\x00", "d\x1b[0m"):
         with pytest.raises(BadElementName):
             build_logic(["0", "1", name])
+    with pytest.raises(BadElementName) as exc:
+        build_logic(["0", "1", "a", "a\u200b", "b", "b\ufeff"], [],
+                    [("a", "a\u200b"), ("b", "b\ufeff")])
+    assert str(exc.value) == f"element names must be {NAME_RULE}, got 'a\\u200b'"
     with pytest.raises(BadElementName):
         build_logic(["0", "1", "x#", "[y]"], [], [("x#", "[y]")])
     with pytest.raises(BadElementName):
