@@ -198,6 +198,13 @@ class DomainTooSmall(QLogicError):
 
 
 class DegenerateDiagonal(QLogicError):
+    """An s-map whose diagonal vanishes at a nonzero element, the first in
+    index order (`element`).  The representation theorem is a bijection
+    between the s-maps with a faithful diagonal (p(b, b) > 0 at every
+    nonzero b) and the conditional states on the full conditional system
+    (every nonzero element); an s-map outside that domain has no
+    conditional state."""
+
     def __init__(self, element: str):
         self.element = element
         super().__init__(

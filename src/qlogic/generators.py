@@ -24,13 +24,7 @@ from operator import itemgetter, le
 
 from .errors import QLogicError, SizeOutOfRange, UnsupportedLattice
 from .lattice import MAX_ELEMENTS, ONE, ZERO, QuantumLogic, _check_size, build_logic
-from .observables import (
-    DiscreteObservable,
-    _centered,
-    _check_variances,
-    _classical_covariances,
-    _PairStats,
-)
+from .observables import _centered, _check_variances, _PairStats, _sums
 from .records import FrozenRecord
 from .smaps import SMap, _check_smap, conditional_from_smap, smap_from_conditional
 from .states import State, _check_conditional
@@ -113,16 +107,18 @@ def infer_blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
     orthogonal to the block, so in it, and c <= j ^ j' = 0.  The atoms below
     e != 0, 1 share one block, that of any atom c <= e'.  Their join j is e:
     else j' ^ e != 0 (orthomodular law), and an atom below it is below e
-    but not below j.  The lattice is immutable, so the blocks are computed
-    once and kept on it.
+    but not below j.
     """
-    if logic._blocks is None:
-        logic._blocks = _blocks(logic)
-    return logic._blocks
+    names = logic.names
+    return tuple(tuple(names[a] for a in block) for block in _block_indices(logic))
 
 
-def _blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
-    """:func:`infer_blocks` on the lattice's index tables."""
+def _block_indices(logic: QuantumLogic) -> tuple[tuple[int, ...], ...]:
+    """:func:`infer_blocks` as atom indices, on the lattice's index tables.
+    The lattice is immutable, so the blocks are computed once and kept on
+    it; a refused lattice keeps nothing, and is refused again."""
+    if logic._blocks is not None:
+        return logic._blocks
     names, leq, comp = logic.names, logic._leq, logic._comp
     atoms = [logic.index(a) for a in logic.atoms()]
     seen = set()
@@ -138,7 +134,7 @@ def _blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
                 seen.update(new)
                 component += new
                 frontier += new
-            blocks.append(sorted(component))
+            blocks.append(tuple(sorted(component)))
     for block in blocks:
         if len(block) < 2:
             raise UnsupportedLattice(f"block of {names[block[0]]} has a single atom")
@@ -146,7 +142,8 @@ def _blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
             if not leq[a][comp[b]]:
                 raise UnsupportedLattice(f"atoms {names[a]} and {names[b]} share "
                                          f"a block but are not orthogonal")
-    return tuple(tuple(names[a] for a in block) for block in blocks)
+    logic._blocks = tuple(blocks)
+    return logic._blocks
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +173,7 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     `den` below every value is an integer and every draw divides exactly.
     The draws are `randrange` calls, the stream `randint` would draw.
     """
-    blocks = [[logic.index(a) for a in block] for block in infer_blocks(logic)]
+    blocks = _block_indices(logic)
     draw = random.Random(seed).randrange
     weights = [[1 + draw(DENOMINATOR_BOUND) for _ in block]
                for block in blocks]
@@ -394,12 +391,12 @@ def smap_law_scan(p: SMap) -> str | None:
                     return f"p({a}, {b}) exceeds the diagonal at {b}"
     # marginal law: each block's atoms decompose 1
     columns = [num[c::n] for c in range(n)]
-    for block in infer_blocks(logic):
-        cols = [logic.index(b) for b in block]
-        by_row = list(map(sum, zip(*map(columns.__getitem__, cols))))
-        by_column = list(map(sum, zip(*map(rows.__getitem__, cols))))
+    for block in _block_indices(logic):
+        by_row = list(map(sum, zip(*map(columns.__getitem__, block))))
+        by_column = list(map(sum, zip(*map(rows.__getitem__, block))))
         if by_row == by_column == list(diagonal):
             continue
+        block = tuple(names[b] for b in block)
         for i, a in enumerate(names):
             if by_row[i] != diagonal[i]:
                 return f"row marginal over block {block} fails at {a}"
@@ -471,18 +468,77 @@ def product_equivalence_scan(p: SMap, f) -> str | None:
     return None
 
 
-def _derived_observables(logic: QuantumLogic, rng: random.Random):
-    """One observable per block (first two blocks), with distinct small
-    integer values drawn from the trial stream; a block's atoms already
-    make an observable (see :func:`infer_blocks`)."""
-    blocks = infer_blocks(logic)
-    chosen = (blocks * 2)[:2]
-    out = []
-    for block in chosen:
-        values = rng.sample(range(-9, 10), len(block))
-        out.append(DiscreteObservable(logic, dict(zip(map(Fraction, values),
-                                                      block))))
-    return out
+def _value_vectors(logic: QuantumLogic, rng: random.Random):
+    """The two observables of the statistics scan, drawn from the trial
+    stream: for each of the first two blocks (one block twice, when there
+    is one), distinct integer values in -9..9 for its atoms, as the atom
+    indices and their values in increasing value order.  A block's atoms
+    already make an observable (see :func:`infer_blocks`)."""
+    drawn = [sorted(zip(rng.sample(range(-9, 10), len(block)), block))
+             for block in (_block_indices(logic) * 2)[:2]]
+    return [([a for _, a in pairs], [v for v, _ in pairs]) for pairs in drawn]
+
+
+def _fractions(scale: int, values) -> str:
+    return ", ".join(str(Fraction(v, scale)) for v in values)
+
+
+def _differ(scale: int, got: list, expected: list) -> str | None:
+    """None when the integer lists agree, else both, over `scale`."""
+    if got != expected:
+        return f"{_fractions(scale, got)} against {_fractions(scale, expected)}"
+    return None
+
+
+#: The laws of the statistics scan, in the order it decides them, each as
+#: (name, the paper's statement, a check that returns None or a witness).
+#: A check reads the `_PairStats` of the pair (x, y), after its classical
+#: route: numerators over p's denominator d, with means over c d,
+#: covariances over (c d)^2 and the classical covariances over c^2 d^3 (the
+#: scan's values are integers, c = 1).  Where the variances are not
+#: negative, the first check also refuses a vanishing one, which leaves the
+#: correlation undefined (`DegenerateVariance`).  The last three, on the
+#: (x, x) table, run after the scan's two message checks.
+STATISTICS_LAWS = (
+    ("variance-signs", "Var(x) = c(x, x) >= 0 and Var(y) = c(y, y) >= 0",
+     lambda s: _check_variances(s.vx, s.vy) if s.vx >= 0 <= s.vy else
+     "Var(x), Var(y) = " + _fractions((s.c * s.d) ** 2, (s.vx, s.vy))),
+    ("margins-total", "the (x, y) and (y, x) joint distributions sum to 1",
+     lambda s: _differ(s.d, [sum(s.rows_xy), sum(s.rows_yx)], [s.d] * 2)),
+    ("row-margins", "sum_s p(x(t), y(s)) = p(x(t), x(t)), in both orders",
+     lambda s: _differ(s.d, s.rows_xy + s.rows_yx, s.nu_x + s.nu_y)),
+    ("column-margins", "sum_t p(x(t), y(s)) = p(y(s), y(s)), in both orders",
+     lambda s: _differ(s.d, s.columns_xy + s.columns_yx, s.nu_y + s.nu_x)),
+    ("classical-mean-x", "x has the mean E(x) on both classical spaces",
+     lambda s: _differ(s.c * s.d, [s.mx1, s.mx2], [s.sx] * 2)),
+    ("classical-mean-y", "y has the mean E(y) on both classical spaces",
+     lambda s: _differ(s.c * s.d, [s.my1, s.my2], [s.sy] * 2)),
+    ("classical-covariance-xy", "the covariance on the first space is c(x, y)",
+     lambda s: _differ(s.c ** 2 * s.d ** 3, [s.cov1], [s.d * s.cxy])),
+    ("classical-covariance-yx", "the covariance on the second space is c(y, x)",
+     lambda s: _differ(s.c ** 2 * s.d ** 3, [s.cov2], [s.d * s.cyx])),
+    ("cauchy-schwarz-xy", "c(x, y)^2 <= Var(x) Var(y)",
+     lambda s: None if s.cov1 * s.cov1 <= s.vx * s.vy * s.d * s.d else
+     "c(x, y), Var(x), Var(y) = " + _fractions((s.c * s.d) ** 2, (s.cxy, s.vx, s.vy))),
+    ("cauchy-schwarz-yx", "c(y, x)^2 <= Var(x) Var(y)",
+     lambda s: None if s.cov2 * s.cov2 <= s.vx * s.vy * s.d * s.d else
+     "c(y, x), Var(x), Var(y) = " + _fractions((s.c * s.d) ** 2, (s.cyx, s.vx, s.vy))),
+    ("xx-margins-total", "the (x, x) joint distribution sums to 1",
+     lambda s: _differ(s.d, [sum(map(sum, s.xx))], [s.d])),
+    ("xx-row-margins", "sum_s p(x(t), x(s)) = p(x(t), x(t))",
+     lambda s: _differ(s.d, _sums(s.xx), s.nu_x)),
+    ("xx-column-margins", "sum_t p(x(t), x(s)) = p(x(s), x(s))",
+     lambda s: _differ(s.d, _sums(zip(*s.xx)), s.nu_x)),
+)
+
+
+def _broken(laws, stats) -> str | None:
+    """The first of `laws` that `stats` breaks, as 'law: witness', or None."""
+    for name, _, check in laws:
+        witness = check(stats)
+        if witness is not None:
+            return f"{name}: {witness}"
+    return None
 
 
 def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
@@ -492,7 +548,7 @@ def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
     the pairs (x, y) and (x, x); the cells are read once, by (x, y).
 
     (y, x) would decide nothing new.  The (x, y) pass tests both variances,
-    and its classical representation asserts the margins of the (x, y) and
+    and its classical representation tests the margins of the (x, y) and
     (y, x) tables, both means, the centered-moment identity of (y, x) and
     Cauchy-Schwarz in both orders.  Compatibility is symmetric on an
     orthomodular lattice, so the symmetry check would be the same one.
@@ -501,24 +557,25 @@ def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
     covariance is the number of the identity; Cauchy-Schwarz is then an
     equality; its two joint moments are the same sum.  The observables are
     the only draw from `rng`, so the trial stream does not depend on this.
+
+    The observables are integer value vectors over the blocks' atoms, and
+    compatibility is read from the lattice's table.  A broken law of
+    STATISTICS_LAWS is returned as 'law: witness'.
     """
-    x, y = _derived_observables(p.logic, rng)
-    stats = _PairStats(p, x, y)
-    X, d, sx, xx = stats.X, stats.d, stats.sx, stats.xx
-    if _centered(X, stats.Y, stats.xy, d, sx, stats.sy) != d * stats.cxy:
+    (xs, X), (ys, Y) = _value_vectors(p.logic, rng)
+    s = _PairStats(p, xs, ys, X, Y, 1)
+    if _centered(X, Y, s.xy, s.d, s.sx, s.sy) != s.d * s.cxy:
         return "centered-moment identity fails"
-    # the checks of covariance_matrix and correlation, on integers
-    assert stats.vx >= 0 and stats.vy >= 0
-    _check_variances(stats.vx, stats.vy)
-    _classical_covariances(stats)  # asserts its own equalities
-    if x.is_compatible_with(y) and stats.mxy != stats.myx:
+    s.classical()
+    failure = _broken(STATISTICS_LAWS[:10], s)
+    if failure is not None:
+        return failure
+    compatible = _compatibility(p.logic)
+    if s.mxy != s.myx and all(compatible[e][f] for e in xs for f in ys):
         return "compatible observables with asymmetric joint moment"
-    if _centered(X, X, xx, d, sx, sx) != d * stats.vx:
+    if _centered(X, X, s.xx, s.d, s.sx, s.sx) != s.d * s.vx:
         return "centered-moment identity fails"
-    assert sum(map(sum, xx)) == d
-    assert list(map(sum, xx)) == stats.nu_x
-    assert list(map(sum, zip(*xx))) == stats.nu_x
-    return None
+    return _broken(STATISTICS_LAWS[10:], s)
 
 
 def roundtrip_suite(logic: QuantumLogic, trials: int, seed: int) -> SuiteReport:

@@ -82,8 +82,8 @@ class QuantumLogic:
         self._orth_pairs = tuple(
             (i, j, join[i][j]) for i in range(n) for j in range(i + 1, n)
             if leq[i][comp[j]] and zero not in (i, j))
-        #: the Boolean blocks of a horizontal sum, kept by the first
-        #: successful `generators.infer_blocks` call
+        #: the atom indices of each Boolean block of a horizontal sum, kept
+        #: by the first successful `generators._block_indices` call
         self._blocks = None
         #: `is_compatible` as an index table, kept by the first
         #: `generators._compatibility` call

@@ -121,6 +121,10 @@ def _dot(u, v):
     return sum(map(operator.mul, u, v))
 
 
+def _sums(lines) -> list:
+    return list(map(sum, lines))
+
+
 def _form(us, vs, table):
     """Sum of us[i] * vs[j] * table[i][j]."""
     return _dot(us, [_dot(vs, row) for row in table])
@@ -147,19 +151,19 @@ class JointDistribution(FrozenRecord):
 
 def joint_distribution(p: SMap, x: DiscreteObservable,
                        y: DiscreteObservable) -> JointDistribution:
-    table, _ = _PairStats(p, x, y).joint_tables()
+    table, _ = _PairStats.of(p, x, y).joint_tables(x.spectrum, y.spectrum)
     return JointDistribution(x.spectrum, y.spectrum, table)
 
 
 def first_joint_moment(p: SMap, x: DiscreteObservable,
                        y: DiscreteObservable) -> Fraction:
     """Sum of t * s * p(x(t), y(s)); order of the arguments matters."""
-    return _PairStats(p, x, y).moments[0]
+    return _PairStats.of(p, x, y).moments[0]
 
 
 def covariance(p: SMap, x: DiscreteObservable,
                y: DiscreteObservable) -> Fraction:
-    return _PairStats(p, x, y).matrix.xy
+    return _PairStats.of(p, x, y).matrix.xy
 
 
 def variance(p: SMap, x: DiscreteObservable) -> Fraction:
@@ -211,36 +215,45 @@ class _PairStats:
     """The cells of x against y, read from p's table once, and the means,
     first joint moments and covariance matrix that follow from them.
 
-    The sums run on integers.  The cells of the four tables (x, x), (x, y),
-    (y, x) and (y, y) are numerators over p's denominator d, and the values
-    of x and y share one denominator c, so that p(x(t), y(s)) = xy[i][j] / d
-    with t = X[i] / c and s = Y[j] / c.  A mean is then an integer over c d,
-    a first joint moment one over c^2 d and a covariance one over (c d)^2.
+    x and y are given by their events' indices and their values, each in
+    increasing value order, as integer numerators over one denominator c,
+    so that p(x(t), y(s)) = xy[i][j] / d with t = X[i] / c and s = Y[j] / c,
+    d being p's denominator.  The cells of the four tables (x, x), (x, y),
+    (y, x) and (y, y) are numerators over d, so the sums run on integers: a
+    mean is an integer over c d, a first joint moment one over c^2 d and a
+    covariance one over (c d)^2.
     """
 
-    def __init__(self, p: SMap, x: DiscreteObservable, y: DiscreteObservable):
-        self.x, self.y = x, y
-        n, num, d = len(x.elements), p.num, p.den
-        events = [p.logic.index(e) for e in x.elements + y.elements]
+    def __init__(self, p: SMap, xs, ys, X, Y, c: int):
+        n, num, d = len(xs), p.num, p.den
+        events = [*xs, *ys]
         # two events at least, so `pick` returns a tuple
         size, pick = len(p.logic), operator.itemgetter(*events)
         cells = [pick(num[e * size:(e + 1) * size]) for e in events]
-        z, c = common_denominator(x.spectrum + y.spectrum)
-        self.X, self.Y, self.c, self.d = z[:n], z[n:], c, d
+        self.X, self.Y, self.c, self.d = X, Y, c, d
         self.xx = xx = [row[:n] for row in cells[:n]]
         self.xy = [row[n:] for row in cells[:n]]
         self.yx = [row[:n] for row in cells[n:]]
         yy = [row[n:] for row in cells[n:]]
         self.nu_x = [row[i] for i, row in enumerate(xx)]
         self.nu_y = [row[j] for j, row in enumerate(yy)]
-        self.sx, self.sy = _dot(self.X, self.nu_x), _dot(self.Y, self.nu_y)
-        self.mxy = _form(self.X, self.Y, self.xy)
-        self.myx = _form(self.Y, self.X, self.yx)
+        self.sx, self.sy = _dot(X, self.nu_x), _dot(Y, self.nu_y)
+        self.mxy = _form(X, Y, self.xy)
+        self.myx = _form(Y, X, self.yx)
         # variances and covariances, numerators over (c d)^2
-        self.vx = d * _form(self.X, self.X, xx) - self.sx * self.sx
+        self.vx = d * _form(X, X, xx) - self.sx * self.sx
         self.cxy = d * self.mxy - self.sx * self.sy
         self.cyx = d * self.myx - self.sy * self.sx
-        self.vy = d * _form(self.Y, self.Y, yy) - self.sy * self.sy
+        self.vy = d * _form(Y, Y, yy) - self.sy * self.sy
+
+    @classmethod
+    def of(cls, p: SMap, x: DiscreteObservable, y: DiscreteObservable):
+        """The statistics of two observables: their events by index and
+        their spectra over one common denominator."""
+        z, c = common_denominator(x.spectrum + y.spectrum)
+        index, n = p.logic.index, len(x.spectrum)
+        return cls(p, [index(e) for e in x.elements],
+                   [index(e) for e in y.elements], z[:n], z[n:], c)
 
     @cached_property
     def matrix(self) -> CovarianceMatrix:
@@ -260,24 +273,29 @@ class _PairStats:
         c2d = self.c * self.c * self.d
         return Fraction(self.mxy, c2d), Fraction(self.myx, c2d)
 
-    def check_margins(self) -> None:
-        """Assert that the (x, y) and (y, x) tables have the diagonal values
-        as margins; guaranteed by s-map additivity, so a failure here is a
-        library defect."""
-        for cells, nu_u, nu_v in ((self.xy, self.nu_x, self.nu_y),
-                                  (self.yx, self.nu_y, self.nu_x)):
-            assert sum(map(sum, cells)) == self.d
-            assert [sum(row) for row in cells] == nu_u
-            assert [sum(column) for column in zip(*cells)] == nu_v
-
-    def joint_tables(self):
-        """The (x, y) and (y, x) tables keyed by outcome, margins checked."""
-        self.check_margins()
+    def joint_tables(self, x_spectrum, y_spectrum):
+        """The (x, y) and (y, x) tables keyed by outcome, given the spectra
+        of x and y; p is valid, so their margins are the diagonal values."""
         return tuple({(t, s): Fraction(w, self.d)
-                      for t, row in zip(u.spectrum, cells)
-                      for s, w in zip(v.spectrum, row)}
-                     for u, v, cells in ((self.x, self.y, self.xy),
-                                         (self.y, self.x, self.yx)))
+                      for t, row in zip(u, cells) for s, w in zip(v, row)}
+                     for u, v, cells in ((x_spectrum, y_spectrum, self.xy),
+                                         (y_spectrum, x_spectrum, self.yx)))
+
+    def classical(self) -> tuple[int, int]:
+        """The classical route, kept as attributes: the row and column sums
+        of the (x, y) and (y, x) tables; the means of x and y on the first
+        space, whose points (t, s) carry the (x, y) cells (`mx1`, `my1`),
+        and on the second, of points (s, t) carrying the (y, x) cells
+        (`mx2`, `my2`), over c d; then the covariances on the two spaces
+        (`cov1`, `cov2`), over c^2 d^3, which it returns."""
+        X, Y, d, xy, yx = self.X, self.Y, self.d, self.xy, self.yx
+        self.rows_xy, self.columns_xy = _sums(xy), _sums(zip(*xy))
+        self.rows_yx, self.columns_yx = _sums(yx), _sums(zip(*yx))
+        self.mx1, self.my1 = _dot(X, self.rows_xy), _dot(Y, self.columns_xy)
+        self.mx2, self.my2 = _dot(X, self.columns_yx), _dot(Y, self.rows_yx)
+        self.cov1 = _centered(X, Y, xy, d, self.mx1, self.my1)
+        self.cov2 = _centered(Y, X, yx, d, self.my2, self.mx2)
+        return self.cov1, self.cov2
 
 
 def _centered(us, vs, table, d: int, mean_u: int, mean_v: int) -> int:
@@ -296,7 +314,7 @@ def _checked(m: CovarianceMatrix) -> CovarianceMatrix:
 
 def covariance_matrix(p: SMap, x: DiscreteObservable,
                       y: DiscreteObservable) -> CovarianceMatrix:
-    return _checked(_PairStats(p, x, y).matrix)
+    return _checked(_PairStats.of(p, x, y).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -330,40 +348,13 @@ class ClassicalRepresentation(FrozenRecord):
 
 def classical_representation(p: SMap, x: DiscreteObservable,
                              y: DiscreteObservable) -> ClassicalRepresentation:
-    stats = _PairStats(p, x, y)
-    cov_1, cov_2 = _classical_covariances(stats)
-    measure_xy, measure_yx = stats.joint_tables()
+    stats = _PairStats.of(p, x, y)
+    cov_1, cov_2 = stats.classical()
+    measure_xy, measure_yx = stats.joint_tables(x.spectrum, y.spectrum)
     scale = stats.c ** 2 * stats.d ** 3
     return ClassicalRepresentation(
         tuple(measure_xy), measure_xy, tuple(measure_yx), measure_yx,
         *stats.means, Fraction(cov_1, scale), Fraction(cov_2, scale))
-
-
-def _classical_covariances(stats: _PairStats) -> tuple[int, int]:
-    """The covariances on the two classical spaces, over c^2 d^3, after
-    asserting that they agree with the lattice route."""
-    stats.check_margins()
-    # classical route: weighted sums over each finite sample space, on the
-    # integer cells (means over c d, covariances over c^2 d^3)
-    X, Y, d = stats.X, stats.Y, stats.d
-    mean_x_1 = _dot(X, map(sum, stats.xy))
-    mean_y_1 = _dot(Y, map(sum, zip(*stats.xy)))
-    mean_y_2 = _dot(Y, map(sum, stats.yx))
-    mean_x_2 = _dot(X, map(sum, zip(*stats.yx)))
-    cov_1 = _centered(X, Y, stats.xy, d, mean_x_1, mean_y_1)
-    cov_2 = _centered(Y, X, stats.yx, d, mean_y_2, mean_x_2)
-
-    # lattice route; the equalities are theorems, so plain asserts
-    assert mean_x_1 == mean_x_2 == stats.sx
-    assert mean_y_1 == mean_y_2 == stats.sy
-    vx, vy = stats.vx, stats.vy  # over (c d)^2, like the covariances
-    assert vx >= 0 and vy >= 0
-    assert cov_1 == d * stats.cxy
-    assert cov_2 == d * stats.cyx
-    # Cauchy-Schwarz, cov^2 <= var_x var_y, multiplied through by c^4 d^6
-    assert cov_1 * cov_1 <= vx * vy * d * d
-    assert cov_2 * cov_2 <= vx * vy * d * d
-    return cov_1, cov_2
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +387,7 @@ class StatsReport(FrozenRecord):
 
 def compute_stats(p: SMap, x: DiscreteObservable,
                   y: DiscreteObservable) -> StatsReport:
-    stats = _PairStats(p, x, y)
+    stats = _PairStats.of(p, x, y)
     m = _checked(stats.matrix)
     notes = []
     try:
@@ -408,7 +399,7 @@ def compute_stats(p: SMap, x: DiscreteObservable,
     events = list(dict.fromkeys(x.elements + y.elements))
     independence = {(u, v): p.is_independent_pair(u, v)
                     for u in events for v in events if u != v}
-    joint_xy, joint_yx = stats.joint_tables()
+    joint_xy, joint_yx = stats.joint_tables(x.spectrum, y.spectrum)
     (nu_x, nu_y), (moment_xy, moment_yx) = stats.means, stats.moments
     return StatsReport(
         nu_x=nu_x,

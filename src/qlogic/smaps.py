@@ -33,10 +33,10 @@ from .lattice import ONE, ZERO, QuantumLogic
 from .rational import bounded_lcm, common_denominator, frac, reduced
 from .states import (
     ConditionalState,
+    ConditionalSystem,
     State,
     _check_cells,
     _TableView,
-    conditional_system_generated,
 )
 
 
@@ -174,25 +174,24 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
 
 
 def conditional_from_smap(p: SMap) -> ConditionalState:
-    """Recover the conditional state f(a | b) = p(a, b) / p(b, b) on the
-    events with positive diagonal: column b of f is column b of p's table
-    over the diagonal numerator.
+    """Recover the conditional state f(a | b) = p(a, b) / p(b, b) on every
+    nonzero event: column b of f is column b of p's table over the
+    diagonal numerator.
 
-    The positive-diagonal set is join-closed (the diagonal is a monotone
-    state), but a vanishing relative complement would leave it without the
-    closure a conditional system needs; that degenerate case is rejected.
+    The diagonal must be faithful, positive at every nonzero b.  Where
+    p(b, b) = 0, the positive-diagonal set holds 1 and b' (p(b', b') = 1),
+    so a conditional system holding it also holds b = b'' ^ 1, where
+    f( . | b) is undefined; the first such b, in index order, is rejected.
     """
     logic, num = p.logic, p.num
-    n, names = len(logic), logic.names
+    n, zero = len(logic), logic.index(ZERO)
     diagonal = num[::n + 1]
-    inside = [b for b in range(n) if diagonal[b] > 0 and names[b] != ZERO]
-    members = frozenset(names[b] for b in inside)
-    closed = conditional_system_generated(logic, members)
-    extra = closed.members - members
-    if extra:
-        raise DegenerateDiagonal(min(extra, key=logic.index))
+    for b, v in enumerate(diagonal):
+        if v <= 0 and b != zero:
+            raise DegenerateDiagonal(logic.names[b])
     return ConditionalState.from_columns(
-        logic, closed, {b: (num[b::n], diagonal[b]) for b in inside})
+        logic, ConditionalSystem(logic, frozenset(logic.nonzero_elements)),
+        {b: (num[b::n], v) for b, v in enumerate(diagonal) if b != zero})
 
 
 def classical_smap(m: State) -> SMap:

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from qlogic import (
+    DiscreteObservable,
     build_observable,
     classical_representation,
     compute_stats,
@@ -49,7 +50,9 @@ def test_an_observable_cannot_be_changed_after_validation(mo2):
     # an observable's own assignment is accepted back, and read-only
     # observables still compare by their tables
     assert build_observable(mo2, x.assignment) == x
-    derived, _ = generators._derived_observables(mo2, random.Random(0))
+    (atoms, values), _ = generators._value_vectors(mo2, random.Random(0))
+    derived = DiscreteObservable(mo2, {F(v): mo2.names[a]
+                                       for a, v in zip(atoms, values)})
     with pytest.raises(TypeError):
         derived.assignment[F(3)] = "b"
 
