@@ -157,15 +157,38 @@ def random_state(logic: QuantumLogic, seed: int) -> State:
     return random_smap(logic, seed).diagonal_state()
 
 
+def _sampling_plan(logic: QuantumLogic) -> tuple:
+    """What :func:`random_smap` needs of the lattice alone: the blocks;
+    each ordered pair of distinct blocks as (rows but the last, last row,
+    columns); DENOMINATOR_BOUND to the power of the most draws one pair
+    takes; and the atoms below each element, which the additivity folds sum
+    (1 decomposes through the first block, and any block gives the same
+    sums).  The lattice is immutable, so the plan is built at the first call
+    and kept on it; a refused lattice keeps nothing."""
+    if logic._sampling_plan is None:
+        blocks = _block_indices(logic)  # UnsupportedLattice propagates
+        pairs = [(rows[:-1], rows[-1], cols) for rows in blocks
+                 for cols in blocks if rows is not cols]
+        draws = max((len(rows) * len(cols) for rows, _, cols in pairs), default=0)
+        below = [(e,) if name == ZERO else blocks[0] if name == ONE else
+                 tuple(a for block in blocks for a in block if logic._leq[a][e])
+                 for e, name in enumerate(logic.names)]
+        logic._sampling_plan = blocks, pairs, DENOMINATOR_BOUND ** draws, below
+    return logic._sampling_plan
+
+
 def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     """Seeded random s-map on a horizontal-sum (or Boolean) lattice.
 
     Draws a strictly positive diagonal state over each block's atoms, then
     one table per ordered pair of distinct blocks from the transportation
     polytope with those margins (sequential sampling stays feasible, so no
-    retries are needed).  Remaining entries follow by additivity, so the
-    result is a valid s-map by construction; it is deterministic for a
-    fixed seed.
+    retries are needed).  Every row but the last is drawn; each drawn row
+    takes all its mass, so the last row's mass is the columns' remainder,
+    and the last row is that remainder.  Remaining entries follow by
+    additivity, so the result is a valid s-map by construction; it is
+    deterministic for a fixed seed.  The lattice-only part of the work is
+    done once per lattice (see :func:`_sampling_plan`).
 
     The arithmetic is on integers over one denominator.  Draw k of a block
     pair moves a value by u / DENOMINATOR_BOUND of a span whose denominator
@@ -173,49 +196,40 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     `den` below every value is an integer and every draw divides exactly.
     The draws are `randrange` calls, the stream `randint` would draw.
     """
-    blocks = _block_indices(logic)
-    draw = random.Random(seed).randrange
-    weights = [[1 + draw(DENOMINATOR_BOUND) for _ in block]
-               for block in blocks]
+    blocks, pairs, scale, below = _sampling_plan(logic)
+    draw, bound = random.Random(seed).randrange, DENOMINATOR_BOUND
+    weights = [[1 + draw(bound) for _ in block] for block in blocks]
     totals = [sum(w) for w in weights]
-    draws = max(((len(r) - 1) * len(c) for r in blocks for c in blocks
-                 if r is not c), default=0)
-    den = math.lcm(*totals) ** 2 * DENOMINATOR_BOUND ** draws
-    mass = {a: w * (den // total) for block, ws, total in
-            zip(blocks, weights, totals) for a, w in zip(block, ws)}
-
+    den = math.lcm(*totals) ** 2 * scale
     n = len(logic)
+    mass = [0] * n  # by element index; 0 off the atoms
+    for block, ws, total in zip(blocks, weights, totals):
+        for a, w in zip(block, ws):
+            mass[a] = w * (den // total)
+
     cells = [[0] * n for _ in range(n)]  # atom pairs, by element index
-    for a, m in mass.items():
-        cells[a][a] = m
-    for rows in blocks:
-        for cols in blocks:
-            if rows is cols:
-                continue
-            remaining_col = [mass[b] for b in cols]
-            for i, a in enumerate(rows):
-                remaining_row, tail = mass[a], sum(remaining_col)
-                for j, b in enumerate(cols):
-                    tail -= remaining_col[j]  # what cols[j + 1:] can take
-                    lo = max(0, remaining_row - tail)
-                    hi = min(remaining_row, remaining_col[j])
-                    if i == len(rows) - 1:
-                        t = hi  # last row is forced to the column remainder
-                    else:
-                        u = draw(DENOMINATOR_BOUND + 1)
-                        t = lo + (hi - lo) * u // DENOMINATOR_BOUND
-                    cells[a][b] = t
-                    remaining_row -= t
-                    remaining_col[j] -= t
+    for e, row in enumerate(cells):
+        row[e] = mass[e]
+    for rows, last, cols in pairs:
+        remaining_col = [mass[b] for b in cols]
+        for a in rows:
+            row, remaining_row, tail = cells[a], mass[a], sum(remaining_col)
+            for j, b in enumerate(cols):
+                col = remaining_col[j]
+                tail -= col  # what cols[j + 1:] can take
+                lo = remaining_row - tail if remaining_row > tail else 0
+                hi = remaining_row if remaining_row < col else col
+                t = lo + (hi - lo) * draw(bound + 1) // bound
+                row[b] = t
+                remaining_row -= t
+                remaining_col[j] = col - t
+        row = cells[last]
+        for b, col in zip(cols, remaining_col):
+            row[b] = col
 
     # remaining entries by additivity, summing whole rows over the atoms
     # below each element, then whole columns; a row of one atom is copied,
-    # and so is that of 0, which is 0 in both folds; 1 decomposes through
-    # the first block (any block gives the same sums)
-    below = [[e] if name == ZERO else blocks[0] if name == ONE else
-             [a for block in blocks for a in block if logic._leq[a][e]]
-             for e, name in enumerate(logic.names)]
-
+    # and so is that of 0, which is 0 in both folds
     def fold(table):
         return [table[atoms[0]] if len(atoms) == 1 else
                 list(map(sum, zip(*map(table.__getitem__, atoms))))

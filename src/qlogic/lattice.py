@@ -65,7 +65,8 @@ class QuantumLogic:
     """
 
     __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
-                 "_orth_pairs", "_blocks", "_compatible", "_law_cells")
+                 "_orth_pairs", "_blocks", "_sampling_plan", "_compatible",
+                 "_law_cells")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -85,6 +86,10 @@ class QuantumLogic:
         #: the atom indices of each Boolean block of a horizontal sum, kept
         #: by the first successful `generators._block_indices` call
         self._blocks = None
+        #: what `generators.random_smap` needs of the lattice alone (the
+        #: ordered pairs of distinct blocks, the draws' denominator factor,
+        #: the atoms below each element), built once by its first call
+        self._sampling_plan = None
         #: `is_compatible` as an index table, kept by the first
         #: `generators._compatibility` call
         self._compatible = None

@@ -18,6 +18,7 @@ axiom; the validator is the constructor followed by `_check_smap`.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 
@@ -156,7 +157,9 @@ def _check_smap(p: SMap) -> None:
 def smap_from_conditional(f: ConditionalState) -> SMap:
     """p(a, b) = f(a | b) f(b | 1): weight each conditional column by the
     probability of its conditioning event.  Requires conditioning to be
-    defined for every nonzero element."""
+    defined for every nonzero element.  The weights' common factor with the
+    denominator is divided out before the n^2 products, so the table is
+    built on smaller integers and its reduction to lowest terms is cheap."""
     logic = f.logic
     for b in logic.nonzero_elements:
         if b not in f.cs:
@@ -168,9 +171,11 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
     common = bounded_lcm({d for _, d in columns.values()})
     scaled = [columns.get(b, ((0,) * n, 1)) for b in range(n)]
     weights = [one[b] * (common // d) for b, (_, d) in enumerate(scaled)]
+    g = math.gcd(d_one * common, *weights)
+    weights = [w // g for w in weights]
     num = [column[a] * w for a in range(n)
            for (column, _), w in zip(scaled, weights)]
-    return SMap.from_table(logic, num, d_one * common)
+    return SMap.from_table(logic, num, d_one * common // g)
 
 
 def conditional_from_smap(p: SMap) -> ConditionalState:

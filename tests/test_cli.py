@@ -649,7 +649,7 @@ def test_a_valid_conditional_state_of_large_distinct_denominators(tmp_path):
     lines = done.stdout.splitlines()
     assert len(lines) == 1 + 64 * 64 and lines[0] == "[smap f]"
     assert f"a0 , a1 = {fmt(mass['a0'] * mass['a1'])}" in lines
-    assert elapsed < 25.0, elapsed  # start-up included; about 5.5 s unloaded
+    assert elapsed < 25.0, elapsed  # start-up included; about 2.5 s unloaded
 
 
 def test_a_closed_stdout_is_one_error_line(tmp_path):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +14,7 @@ from qlogic import (
     classical_smap,
     conditional_from_smap,
     gen_boolean,
+    gen_mo,
     random_smap,
     random_state,
     smap_from_conditional,
@@ -28,6 +31,8 @@ from qlogic.errors import (
     S3Violation,
     ValueOutOfRange,
 )
+from qlogic.lattice import ONE, ZERO
+from qlogic.rational import bounded_lcm
 from qlogic.states import conditional_system_generated
 
 
@@ -209,3 +214,68 @@ def test_deterministic_generation(mo3):
     assert random_smap(mo3, 421).values == random_smap(mo3, 421).values
     assert random_state(mo3, 421).values == random_state(mo3, 421).values
     assert random_smap(mo3, 421).values != random_smap(mo3, 422).values
+
+
+def _two_atom_smap(logic, mass, cross=()):
+    """The s-map on a horizontal sum of two-atom blocks from its atom cells:
+    p(x, x) = mass[x], 0 on the other atom of x's block, `cross` or else
+    mass[x] mass[y] across blocks; every other cell by additivity, with 1
+    the join of the first block's atoms."""
+    cross = dict(cross)
+
+    def atoms(x, y):
+        if x == y or logic.is_orthogonal(x, y):
+            return mass[x] if x == y else 0
+        return cross.get((x, y), mass[x] * mass[y])
+
+    below = {ZERO: (), ONE: logic.atoms()[:2], **{x: (x,) for x in mass}}
+    return validate_smap(logic, {
+        (u, v): sum(atoms(x, y) for x in below[u] for y in below[v])
+        for u in logic.names for v in logic.names})
+
+
+def _weights_gcd(f) -> int:
+    """gcd(d_1 lcm(d_b), w_0, ..., w_{n-1}) for f's columns N_b / d_b, with
+    w_b = N_1[b] lcm(d_b) / d_b: the factor the conversion divides out."""
+    columns, n = f.columns, len(f.logic)
+    one, d_one = columns[f.logic.index(ONE)]
+    common = bounded_lcm({d for _, d in columns.values()})
+    return math.gcd(d_one * common, *(one[b] * (common // columns[b][1])
+                                      for b in columns))
+
+
+def _assert_converts_back(p):
+    f = conditional_from_smap(p)
+    q = smap_from_conditional(f)
+    assert q == p
+    assert math.gcd(q.den, *q.num) == 1
+    names = p.logic.names
+    assert all(q(a, b) == (0 if b == ZERO else f(a, b) * f(b, ONE))
+               for a in names for b in names)
+    return f
+
+
+def test_conversion_on_large_distinct_denominators():
+    """Eight two-atom blocks, atom masses x and 1 - x with a distinct
+    denominator of about 40 digits per block, a product across blocks: the
+    weights share a factor of about 320 digits with the denominator."""
+    rng, logic, mass = random.Random(0), gen_mo(8), {}
+    for a in logic.atoms()[::2]:
+        d = rng.randrange(10 ** 39, 10 ** 40)
+        mass[a] = F(rng.randrange(1, d), d)
+        mass[logic.complement(a)] = 1 - mass[a]
+    f = _assert_converts_back(_two_atom_smap(logic, mass))
+    assert len(str(_weights_gcd(f))) > 300
+
+
+def test_conversion_when_the_weights_share_no_factor():
+    """On mo(2), p(a, b) = 1/6 and p(b, a) = 1/4 with every atom at 1/2:
+    the columns' denominators are 2 and 3 and the weights' gcd is 1."""
+    logic = gen_mo(2)
+    mass = dict.fromkeys(logic.atoms(), F(1, 2))
+    cross = {("a", "b"): F(1, 6), ("a", "b'"): F(1, 3), ("a'", "b"): F(1, 3),
+             ("a'", "b'"): F(1, 6)}
+    cross.update(dict.fromkeys([("b", "a"), ("b", "a'"), ("b'", "a"),
+                                ("b'", "a'")], F(1, 4)))
+    f = _assert_converts_back(_two_atom_smap(logic, mass, cross))
+    assert _weights_gcd(f) == 1
