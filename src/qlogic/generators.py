@@ -23,10 +23,16 @@ from itertools import combinations
 from operator import itemgetter, le
 
 from .errors import QLogicError, SizeOutOfRange, UnsupportedLattice
-from .lattice import MAX_ELEMENTS, ONE, ZERO, QuantumLogic, _check_size, build_logic
+from .lattice import MAX_ELEMENTS, ONE, ZERO, QuantumLogic, _check_size, build_logic, kept
 from .observables import _centered, _check_variances, _PairStats, _sums
 from .records import FrozenRecord
-from .smaps import SMap, _check_smap, conditional_from_smap, smap_from_conditional
+from .smaps import (
+    SMap,
+    _check_smap,
+    _orthogonal_cells,
+    conditional_from_smap,
+    smap_from_conditional,
+)
 from .states import State, _check_conditional
 
 #: resolution of the random rational draws
@@ -113,12 +119,9 @@ def infer_blocks(logic: QuantumLogic) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(names[a] for a in block) for block in _block_indices(logic))
 
 
+@kept
 def _block_indices(logic: QuantumLogic) -> tuple[tuple[int, ...], ...]:
-    """:func:`infer_blocks` as atom indices, on the lattice's index tables.
-    The lattice is immutable, so the blocks are computed once and kept on
-    it; a refused lattice keeps nothing, and is refused again."""
-    if logic._blocks is not None:
-        return logic._blocks
+    """:func:`infer_blocks` as atom indices, on the lattice's index tables."""
     names, leq, comp = logic.names, logic._leq, logic._comp
     atoms = [logic.index(a) for a in logic.atoms()]
     seen = set()
@@ -142,8 +145,7 @@ def _block_indices(logic: QuantumLogic) -> tuple[tuple[int, ...], ...]:
             if not leq[a][comp[b]]:
                 raise UnsupportedLattice(f"atoms {names[a]} and {names[b]} share "
                                          f"a block but are not orthogonal")
-    logic._blocks = tuple(blocks)
-    return logic._blocks
+    return tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +159,22 @@ def random_state(logic: QuantumLogic, seed: int) -> State:
     return random_smap(logic, seed).diagonal_state()
 
 
+@kept
 def _sampling_plan(logic: QuantumLogic) -> tuple:
     """What :func:`random_smap` needs of the lattice alone: the blocks;
     each ordered pair of distinct blocks as (rows but the last, last row,
     columns); DENOMINATOR_BOUND to the power of the most draws one pair
     takes; and the atoms below each element, which the additivity folds sum
     (1 decomposes through the first block, and any block gives the same
-    sums).  The lattice is immutable, so the plan is built at the first call
-    and kept on it; a refused lattice keeps nothing."""
-    if logic._sampling_plan is None:
-        blocks = _block_indices(logic)  # UnsupportedLattice propagates
-        pairs = [(rows[:-1], rows[-1], cols) for rows in blocks
-                 for cols in blocks if rows is not cols]
-        draws = max((len(rows) * len(cols) for rows, _, cols in pairs), default=0)
-        below = [(e,) if name == ZERO else blocks[0] if name == ONE else
-                 tuple(a for block in blocks for a in block if logic._leq[a][e])
-                 for e, name in enumerate(logic.names)]
-        logic._sampling_plan = blocks, pairs, DENOMINATOR_BOUND ** draws, below
-    return logic._sampling_plan
+    sums)."""
+    blocks = _block_indices(logic)  # UnsupportedLattice propagates
+    pairs = [(rows[:-1], rows[-1], cols) for rows in blocks
+             for cols in blocks if rows is not cols]
+    draws = max((len(rows) * len(cols) for rows, _, cols in pairs), default=0)
+    below = [(e,) if name == ZERO else blocks[0] if name == ONE else
+             tuple(a for block in blocks for a in block if logic._leq[a][e])
+             for e, name in enumerate(logic.names)]
+    return blocks, pairs, DENOMINATOR_BOUND ** draws, below
 
 
 def random_smap(logic: QuantumLogic, seed: int) -> SMap:
@@ -280,15 +280,12 @@ def oracle_scan(logic: QuantumLogic) -> str | None:
     return None
 
 
+@kept
 def _compatibility(logic: QuantumLogic) -> tuple:
-    """`is_compatible` as an index table, one row per element.  The lattice
-    is immutable, so the table is built once, from the lattice's own
-    `is_compatible`, and kept on it."""
-    if logic._compatible is None:
-        names = logic.names
-        logic._compatible = tuple(tuple(logic.is_compatible(a, b) for b in names)
-                                  for a in names)
-    return logic._compatible
+    """`is_compatible` as an index table, one row per element, built from
+    the lattice's own `is_compatible`."""
+    names = logic.names
+    return tuple(tuple(logic.is_compatible(a, b) for b in names) for a in names)
 
 
 def distributivity_scan(logic: QuantumLogic) -> str | None:
@@ -344,6 +341,7 @@ class SuiteReport(FrozenRecord):
         return self.failed == 0
 
 
+@kept
 def _law_cells(logic: QuantumLogic) -> tuple:
     """Gathers of the cells :func:`smap_law_scan` compares on a whole
     table, by row-major index: the orthogonal cells, which must be 0; two
@@ -353,20 +351,16 @@ def _law_cells(logic: QuantumLogic) -> tuple:
     i < j.  A table that passes meets every cell law of the scan: for
     ordered i <= j, i ^ j is i, and a cell (i, j) lies below (1, j), which
     equals (j, 1) and (j, j).  Every s-map passes, as comparable elements
-    are compatible.  The lattice is immutable, so the gathers are built
-    once and kept on it."""
-    if logic._law_cells is None:
-        leq, comp, meet, n = logic._leq, logic._comp, logic._meet, len(logic)
-        cells = [(i, j, i * n + j) for i in range(n) for j in range(n)]
-        equal = [(k, e) for i, j, k in cells
-                 if _compatibility(logic)[i][j] or leq[i][j]
-                 for e in (meet[i][j] * (n + 1), j * n + i)]
-        below = [(i * n + c, j * n + c) for i, j, _ in cells
-                 if i != j and leq[i][j] for c in range(n)]
-        logic._law_cells = tuple(itemgetter(*side) for side in (
-            [k for i, j, k in cells if leq[i][comp[j]]],
-            *zip(*equal), *zip(*below)))
-    return logic._law_cells
+    are compatible."""
+    leq, meet, n = logic._leq, logic._meet, len(logic)
+    compatible = _compatibility(logic)
+    cells = [(i, j, i * n + j) for i in range(n) for j in range(n)]
+    equal = [(k, e) for i, j, k in cells if compatible[i][j] or leq[i][j]
+             for e in (meet[i][j] * (n + 1), j * n + i)]
+    below = [(i * n + c, j * n + c) for i, j, _ in cells
+             if i != j and leq[i][j] for c in range(n)]
+    sides = (*zip(*equal), *zip(*below))
+    return (_orthogonal_cells(logic)[1], *(itemgetter(*side) for side in sides))
 
 
 def smap_law_scan(p: SMap) -> str | None:

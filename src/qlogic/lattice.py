@@ -16,7 +16,7 @@ non-trivial part of the Hasse diagram.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache, reduce, update_wrapper
 
 from .errors import (
     AxiomViolation,
@@ -65,8 +65,7 @@ class QuantumLogic:
     """
 
     __slots__ = ("names", "_index", "_leq", "_comp", "_meet", "_join",
-                 "_orth_pairs", "_blocks", "_sampling_plan", "_compatible",
-                 "_law_cells")
+                 "_orth_pairs", "_kept")
 
     def __init__(self, names, leq, comp, meet, join):
         self.names: tuple[str, ...] = tuple(names)
@@ -83,19 +82,8 @@ class QuantumLogic:
         self._orth_pairs = tuple(
             (i, j, join[i][j]) for i in range(n) for j in range(i + 1, n)
             if leq[i][comp[j]] and zero not in (i, j))
-        #: the atom indices of each Boolean block of a horizontal sum, kept
-        #: by the first successful `generators._block_indices` call
-        self._blocks = None
-        #: what `generators.random_smap` needs of the lattice alone (the
-        #: ordered pairs of distinct blocks, the draws' denominator factor,
-        #: the atoms below each element), built once by its first call
-        self._sampling_plan = None
-        #: `is_compatible` as an index table, kept by the first
-        #: `generators._compatibility` call
-        self._compatible = None
-        #: the cell gathers of `generators.smap_law_scan`'s pre-pass, kept by
-        #: the first `generators._law_cells` call
-        self._law_cells = None
+        #: the tables of the :func:`kept` functions, keyed by function
+        self._kept = {}
 
     # -- basic access -------------------------------------------------------
 
@@ -180,6 +168,17 @@ class QuantumLogic:
         zero, leq, n = self.index(ZERO), self._leq, len(self.names)
         return tuple(self.names[i] for i in range(n) if i != zero and all(
             k in (zero, i) or not leq[k][i] for k in range(n)))
+
+
+def kept(derive):
+    """Keep `derive(logic)`, a table of the immutable lattice alone, on the
+    logic at its first call; concurrent first calls derive equal tables.
+    A call that raises keeps nothing, so a refused lattice is refused again."""
+    def table(logic: QuantumLogic):
+        if table not in logic._kept:
+            logic._kept[table] = derive(logic)
+        return logic._kept[table]
+    return update_wrapper(table, derive)
 
 
 def _closure(n: int, pairs: set[tuple[int, int]]):

@@ -180,9 +180,10 @@ def correlation(p: SMap, x: DiscreteObservable,
 
 
 def _coefficient(cov: Fraction, vx: Fraction, vy: Fraction) -> float:
+    """cov / sqrt(vx vy) from the exact square, which no scale overflows."""
     _check_variances(vx, vy)
-    r = float(cov) / math.sqrt(float(vx * vy))
-    return max(-1.0, min(1.0, r))
+    r = math.sqrt(cov * cov / (vx * vy))
+    return max(-1.0, min(1.0, -r if cov < 0 else r))
 
 
 def _check_variances(vx, vy) -> None:

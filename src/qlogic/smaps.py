@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, itemgetter
 
 from .errors import (
     DegenerateDiagonal,
@@ -30,7 +30,7 @@ from .errors import (
     S2Violation,
     S3Violation,
 )
-from .lattice import ONE, ZERO, QuantumLogic
+from .lattice import ONE, ZERO, QuantumLogic, kept
 from .rational import bounded_lcm, common_denominator, frac, reduced
 from .states import (
     ConditionalState,
@@ -132,17 +132,13 @@ def _check_smap(p: SMap) -> None:
     top = logic.index(ONE) * (n + 1)
     if num[top] != den:
         raise S1Violation(Fraction(num[top], den))
-    # S2 on the 0 row and column, then on both orders of each orthogonal
-    # pair; the first witness is the least cell in row-major order
-    pairs, zero = logic._orth_pairs, logic.index(ZERO)
-    cells = [zero * n + e for e in range(n)] + list(range(zero, n * n, n))
-    cells += [c for i, j, _ in pairs for c in (i * n + j, j * n + i)]
-    nonzero = [c for c in cells if num[c]]
-    if nonzero:
-        c = min(nonzero)
+    # S2; the witness is the first nonzero orthogonal cell
+    cells, orthogonal = _orthogonal_cells(logic)
+    if any(orthogonal(num)):
+        c = next(c for c, v in zip(cells, orthogonal(num)) if v)
         raise S2Violation(names[c // n], names[c % n], Fraction(num[c], den))
     rows, cols = p.rows(), [num[c::n] for c in range(n)]
-    for i, j, k in pairs:
+    for i, j, k in logic._orth_pairs:
         if (rows[k] == tuple(map(add, rows[i], rows[j]))
                 and cols[k] == tuple(map(add, cols[i], cols[j]))):
             continue
@@ -152,6 +148,16 @@ def _check_smap(p: SMap) -> None:
                 if lhs != rhs:
                     raise S3Violation(side, names[i], names[j], names[c],
                                       Fraction(lhs, den), Fraction(rhs, den))
+
+
+@kept
+def _orthogonal_cells(logic: QuantumLogic) -> tuple:
+    """The row-major indices of the cells (i, j), i orthogonal to j, where
+    S2 asks for 0, and a gather of them: the 0 row and column and both
+    orders of each pair in `_orth_pairs` (no a != 0 is orthogonal to a)."""
+    leq, comp, n = logic._leq, logic._comp, len(logic)
+    cells = tuple(i * n + j for i in range(n) for j in range(n) if leq[i][comp[j]])
+    return cells, itemgetter(*cells)
 
 
 def smap_from_conditional(f: ConditionalState) -> SMap:

@@ -344,9 +344,9 @@ class ConditionalState:
 
 
 def validate_conditional_state(logic: QuantumLogic, cs, values) -> ConditionalState:
-    """Verify all three conditional-state axioms on a name-keyed table."""
-    if not isinstance(cs, ConditionalSystem):
-        cs = validate_conditional_system(logic, cs)
+    """Verify the system `cs` and the three conditional-state axioms."""
+    members = cs.sorted_members() if isinstance(cs, ConditionalSystem) else cs
+    cs = validate_conditional_system(logic, members)
     f = ConditionalState(logic, cs, values)
     _check_conditional(f)
     return f

@@ -293,6 +293,24 @@ def test_stats_degenerate_variance_warns(tmp_path, capsys):
     assert got["var_x"] == "0"
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_stats_at_extreme_scales(tmp_path, capsys, scale):
+    """Values whose squares leave the float range still give a
+    correlation, with its sign."""
+    path = tmp_path / "scaled.qlm"
+    path.write_text(
+        "[logic]\nelements 0 1 a b\ncomplement a b\n\n[smap p]\n"
+        "a , a = 1/2\na , b = 0\nb , a = 0\nb , b = 1/2\n\n"
+        f"[observable x]\n{scale} -> a\n-{scale} -> b\n\n"
+        f"[observable y]\n-{scale} -> a\n{scale} -> b\n", encoding="utf-8")
+    for y, r in (("x", "1.000000000"), ("y", "-1.000000000")):
+        assert main(["stats", str(path), "--smap", "p", "--x", "x", "--y", y]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        got = machine_values(captured.out)
+        assert got["r_xy"] == got["r_yx"] == r
+
+
 def test_stats_invalid_smap_exits_1(files, capsys):
     assert main(["stats", files["2.2-printed"], "--smap", "p",
                  "--x", "x", "--y", "y"]) == 1

@@ -24,8 +24,9 @@ from qlogic.errors import (
     SizeOutOfRange,
     UnknownElementError,
 )
-from qlogic.lattice import NAME_RULE, ONE, ZERO, QuantumLogic
+from qlogic.lattice import NAME_RULE, ONE, ZERO, QuantumLogic, kept
 from qlogic.modelfile import ModelFile, emit_model, parse_model_text, realize_logic
+from test_whole_table_scans import fresh
 
 
 def test_mo2_structure(mo2):
@@ -402,3 +403,55 @@ def test_repeated_check_requests_build_the_compatibility_table_once(
         counts.append(len(calls))
     first, second = counts[0], counts[1] - counts[0]
     assert first - second == len(gen_mo(4)) ** 2  # the table, in the first only
+
+
+# -- tables kept on the lattice ---------------------------------------------
+
+
+def test_a_kept_table_is_derived_once_per_logic():
+    calls = []
+
+    @kept
+    def atom_count(logic):
+        """How many atoms."""
+        calls.append(logic)
+        return len(logic.atoms())
+
+    logic = fresh(gen_mo(3))
+    assert atom_count(logic) == atom_count(logic) == 6
+    assert calls == [logic] and logic._kept == {atom_count: 6}
+    assert atom_count.__name__ == "atom_count"
+    assert atom_count.__doc__ == "How many atoms."
+
+
+def test_a_refused_derivation_keeps_nothing_and_raises_again():
+    calls = []
+
+    @kept
+    def refuse(logic):
+        calls.append(logic)
+        raise SizeOutOfRange(f"refused call {len(calls)}")
+
+    logic = fresh(gen_mo(2))
+    for k in (1, 2):
+        with pytest.raises(SizeOutOfRange, match=f"refused call {k}"):
+            refuse(logic)
+        assert logic._kept == {}
+    assert calls == [logic, logic]
+
+
+def test_equal_logics_keep_their_tables_apart():
+    calls = []
+
+    @kept
+    def names(logic):
+        calls.append(logic)
+        return list(logic.names)
+
+    logic = fresh(gen_mo(2))
+    other = fresh(logic)
+    assert other == logic and other is not logic
+    assert names(logic) == names(other)
+    assert names(logic) is not names(other)
+    assert len(calls) == 2 and calls[0] is logic and calls[1] is other
+    assert logic._kept[names] is names(logic) and other._kept[names] is names(other)

@@ -96,15 +96,14 @@ def test_random_smap_matches_the_reference(make, arg):
 def test_a_second_call_reuses_the_kept_plan(monkeypatch):
     logic = horizontal_sum([2, 3])
     first = random_smap(logic, 0)
-    plan = logic._sampling_plan
-    assert plan is not None
+    plan = logic._kept[generators._sampling_plan]
 
     def refuse(logic):
         raise AssertionError("the plan was built again")
 
     monkeypatch.setattr(generators, "_block_indices", refuse)
     again = random_smap(logic, 0)
-    assert logic._sampling_plan is plan
+    assert logic._kept[generators._sampling_plan] is plan
     assert again == first and random_smap(logic, 1) != first
 
 
@@ -119,4 +118,5 @@ def test_a_refused_lattice_keeps_no_plan(pasting12):
         message = _refusal(random_smap, logic)
         assert message == _refusal(reference_random_smap, logic)
         assert _refusal(random_smap, logic) == message
-        assert logic._sampling_plan is None and logic._blocks is None
+        assert generators._sampling_plan not in logic._kept
+        assert generators._block_indices not in logic._kept

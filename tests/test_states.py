@@ -43,6 +43,7 @@ from qlogic.errors import (
     WeightsInvalid,
     ZeroInSeed,
 )
+from qlogic.lattice import QuantumLogic
 from qlogic.states import ConditionalSystem, _closure_gaps
 from test_cli import _module_env
 
@@ -383,6 +384,23 @@ def test_entry_outside_cs(mo2, example21):
     values["a", "b"] = F(2, 5)
     with pytest.raises(InvalidConditionalSystem):
         validate_conditional_state(mo2, cs, values)
+
+
+def test_a_passed_system_is_validated_against_the_logic(mo2, example21):
+    true = {"0": 0, "1": 1, "a": 1, "a'": 0, "b": 1, "b'": 0}
+    values = {(b, a): v for a in ("a", "b") for b, v in true.items()}
+    unclosed = ConditionalSystem(mo2, frozenset({"a", "b"}))
+    with pytest.raises(InvalidConditionalSystem) as exc:
+        validate_conditional_state(mo2, unclosed, values)
+    assert str(exc.value) == (
+        "not closed under join: a v b = 1 is missing")
+    # a system of an equal logic is re-read against the one passed
+    f = example21.conds["f"]
+    logic = QuantumLogic(f.logic.names, f.logic._leq, f.logic._comp,
+                         f.logic._meet, f.logic._join)
+    assert logic == f.logic and logic is not f.logic
+    g = validate_conditional_state(logic, f.cs, f.values)
+    assert g.cs.logic is logic and g.logic is logic and g == f
 
 
 # -- construction from an orthogonal partition --------------------------------
