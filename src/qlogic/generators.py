@@ -164,17 +164,17 @@ def _sampling_plan(logic: QuantumLogic) -> tuple:
     """What :func:`random_smap` needs of the lattice alone: the blocks;
     each ordered pair of distinct blocks as (rows but the last, last row,
     columns); DENOMINATOR_BOUND to the power of the most draws one pair
-    takes; and the atoms below each element, which the additivity folds sum
+    takes; the atoms below each element, which the additivity folds sum
     (1 decomposes through the first block, and any block gives the same
-    sums)."""
+    sums); and how many draws all pairs take."""
     blocks = _block_indices(logic)  # UnsupportedLattice propagates
     pairs = [(rows[:-1], rows[-1], cols) for rows in blocks
              for cols in blocks if rows is not cols]
-    draws = max((len(rows) * len(cols) for rows, _, cols in pairs), default=0)
+    draws = [len(rows) * len(cols) for rows, _, cols in pairs]
     below = [(e,) if name == ZERO else blocks[0] if name == ONE else
              tuple(a for block in blocks for a in block if logic._leq[a][e])
              for e, name in enumerate(logic.names)]
-    return blocks, pairs, DENOMINATOR_BOUND ** draws, below
+    return blocks, pairs, DENOMINATOR_BOUND ** max(draws, default=0), below, sum(draws)
 
 
 def random_smap(logic: QuantumLogic, seed: int) -> SMap:
@@ -194,11 +194,13 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     pair moves a value by u / DENOMINATOR_BOUND of a span whose denominator
     divides the block totals' product times DENOMINATOR_BOUND^(k-1), so over
     `den` below every value is an integer and every draw divides exactly.
-    The draws are `randrange` calls, the stream `randint` would draw.
+    The draws are those of `randrange` (see :func:`_draws`), the stream
+    `randint` would draw.
     """
-    blocks, pairs, scale, below = _sampling_plan(logic)
-    draw, bound = random.Random(seed).randrange, DENOMINATOR_BOUND
-    weights = [[1 + draw(bound) for _ in block] for block in blocks]
+    blocks, pairs, scale, below, draws = _sampling_plan(logic)
+    bits, bound = random.Random(seed).getrandbits, DENOMINATOR_BOUND
+    weights = [[1 + u for u in _draws(bits, bound, len(block))] for block in blocks]
+    next_draw = iter(_draws(bits, bound + 1, draws)).__next__
     totals = [sum(w) for w in weights]
     den = math.lcm(*totals) ** 2 * scale
     n = len(logic)
@@ -219,7 +221,7 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
                 tail -= col  # what cols[j + 1:] can take
                 lo = remaining_row - tail if remaining_row > tail else 0
                 hi = remaining_row if remaining_row < col else col
-                t = lo + (hi - lo) * draw(bound + 1) // bound
+                t = lo + (hi - lo) * next_draw() // bound
                 row[b] = t
                 remaining_row -= t
                 remaining_col[j] = col - t
@@ -240,6 +242,20 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     return SMap.from_table(logic, num, den)
 
 
+def _draws(getrandbits, n: int, count: int) -> list:
+    """`count` draws of `randrange(n)`, n >= 1, from the generator that
+    `getrandbits` belongs to: randrange's own rejection loop on
+    getrandbits(n.bit_length()) (CPython 3.10-3.13), so the stream and the
+    generator's state after it are randrange's, without its two Python
+    frames per draw."""
+    k, drawn = n.bit_length(), []
+    while len(drawn) < count:
+        r = getrandbits(k)
+        if r < n:
+            drawn.append(r)
+    return drawn
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
@@ -247,10 +263,12 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
 BRUTE_FORCE_MAX = 24
 
 
+@kept
 def _witnessed(logic: QuantumLogic) -> set:
     """The witness relation, as pairs of indices: (a, b) is in it when some
     c has x and y orthogonal to c and to each other with x v c = a and
-    y v c = b.  One pass over every such triple (c, x, y) collects it."""
+    y v c = b.  One pass over every such triple (c, x, y) collects it, once
+    per logic."""
     leq, comp, join, n = logic._leq, logic._comp, logic._join, len(logic)
     if n > BRUTE_FORCE_MAX:
         raise SizeOutOfRange(
@@ -267,9 +285,11 @@ def brute_force_compatible(logic: QuantumLogic, a: str, b: str) -> bool:
     return a in index and b in index and (index[a], index[b]) in witnessed
 
 
+@kept
 def oracle_scan(logic: QuantumLogic) -> str | None:
     """Compare the table identity against the witness search on every pair;
-    returns a description of the first disagreement, or None."""
+    returns a description of the first disagreement, or None.  Both are
+    the lattice's alone, so the verdict is decided once per logic."""
     witnessed, compatible = _witnessed(logic), _compatibility(logic)
     for i, a in enumerate(logic.names):
         for j, b in enumerate(logic.names):
@@ -288,6 +308,7 @@ def _compatibility(logic: QuantumLogic) -> tuple:
     return tuple(tuple(logic.is_compatible(a, b) for b in names) for a in names)
 
 
+@kept
 def distributivity_scan(logic: QuantumLogic) -> str | None:
     """Check that b is compatible with a1 v a2 and that b ^ (a1 v a2) =
     (a1 ^ b) v (a2 ^ b), for every pair a1, a2 of elements compatible with b.
@@ -299,7 +320,8 @@ def distributivity_scan(logic: QuantumLogic) -> str | None:
     otherwise the pair {j, a3} is visited, and its two checks are the
     family's.  Only two table facts are used, that join is associative and
     commutative with unit 0 and that meet is symmetric, so this holds for
-    any compatibility table, however wrong.
+    any compatibility table, however wrong.  The verdict is the lattice's
+    alone, so it is decided once per logic.
     """
     names, meet, join = logic.names, logic._meet, logic._join
     compatible = _compatibility(logic)
@@ -437,8 +459,9 @@ def independence_law_scan(f) -> str | None:
                 continue
             for b in range(len(names)):
                 ind = col_c[b] == col_a[b]
-                # (ii) b and its complement agree
-                if (col_c[comp[b]] == col_a[comp[b]]) != ind:
+                # (ii) b and its complement agree; at b' > b this repeats
+                # the check at b, which came first
+                if b < comp[b] and (col_c[comp[b]] == col_a[comp[b]]) != ind:
                     return (f"(ii) fails at b={names[b]}, a={names[a]}, "
                             f"c={names[c]}")
                 # (i) complementary conditioning events agree

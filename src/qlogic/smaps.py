@@ -167,9 +167,8 @@ def smap_from_conditional(f: ConditionalState) -> SMap:
     denominator is divided out before the n^2 products, so the table is
     built on smaller integers and its reduction to lowest terms is cheap."""
     logic = f.logic
-    for b in logic.nonzero_elements:
-        if b not in f.cs:
-            raise DomainTooSmall(b)
+    if not _full_system(logic).members.issubset(f.cs.members):
+        raise DomainTooSmall(next(b for b in logic.nonzero_elements if b not in f.cs))
     n, columns = len(logic), f.columns
     one, d_one = columns[logic.index(ONE)]
     # with column b = N_b / d_b, p(a, b) = N_b[a] N_1[b] / (d_b d_1), which
@@ -195,14 +194,22 @@ def conditional_from_smap(p: SMap) -> ConditionalState:
     f( . | b) is undefined; the first such b, in index order, is rejected.
     """
     logic, num = p.logic, p.num
-    n, zero = len(logic), logic.index(ZERO)
+    n, zero = len(logic), logic._index[ZERO]
     diagonal = num[::n + 1]
     for b, v in enumerate(diagonal):
         if v <= 0 and b != zero:
             raise DegenerateDiagonal(logic.names[b])
     return ConditionalState.from_columns(
-        logic, ConditionalSystem(logic, frozenset(logic.nonzero_elements)),
+        logic, _full_system(logic),
         {b: (num[b::n], v) for b, v in enumerate(diagonal) if b != zero})
+
+
+@kept
+def _full_system(logic: QuantumLogic) -> ConditionalSystem:
+    """The conditional system of every nonzero element: where
+    :func:`conditional_from_smap` conditions, and the domain
+    :func:`smap_from_conditional` needs."""
+    return ConditionalSystem(logic, frozenset(logic.nonzero_elements))
 
 
 def classical_smap(m: State) -> SMap:

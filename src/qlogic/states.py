@@ -104,7 +104,7 @@ def _check_state_column(logic: QuantumLogic, num, den: int) -> None:
     names = logic.names
     _check_cells("state", names.__getitem__, num, den)
     for bound, expected in ((ZERO, 0), (ONE, 1)):
-        v = num[logic.index(bound)]
+        v = num[logic._index[bound]]
         if v != expected * den:
             raise BoundsViolation(bound, Fraction(v, den), expected)
     for i, j, k in logic._orth_pairs:

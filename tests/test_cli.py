@@ -20,6 +20,7 @@ from qlogic import (
     cli,
     conditional_from_smap,
     generators,
+    lattice,
     repro,
     validate_smap,
 )
@@ -472,6 +473,21 @@ def test_check_passes(capsys):
 
 def test_check_boolean(capsys):
     assert main(["check", "boolean", "2", "--trials", "5"]) == 0
+
+
+#: every stock shape `check` samples, all within the witness search's cap
+CHECK_SHAPES = [("mo", n) for n in range(1, 9)] + [("boolean", n) for n in (2, 3, 4)]
+
+
+def test_a_repeated_check_prints_the_same(capsys):
+    """The first request on a freshly built lattice derives the lattice's
+    verdicts and tables; the second reads them as kept."""
+    lattice._memo.cache_clear()
+    for family, n in CHECK_SHAPES:
+        argv = ["check", family, str(n), "--trials", "3", "--seed", "11"]
+        first = (main(argv), capsys.readouterr().out)
+        assert first[0] == 0 and "3/3 trials passed" in first[1]
+        assert (main(argv), capsys.readouterr().out) == first, (family, n)
 
 
 @pytest.mark.parametrize("scan,failing,line", [

@@ -199,6 +199,15 @@ def test_brute_force_size_cap():
         brute_force_compatible(too_big, "a", "b")
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 1001, 2 ** 20, 2 ** 20 + 1])
+def test_the_sampler_draws_what_randrange_draws(n):
+    for seed in range(50):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        drawn = generators._draws(ours.getrandbits, n, seed)
+        assert drawn == [theirs.randrange(n) for _ in range(seed)], seed
+        assert ours.getstate() == theirs.getstate(), seed
+
+
 def test_distributivity_scan_corpus():
     for logic in (gen_boolean(3), gen_mo(3), horizontal_sum([2, 3])):
         assert distributivity_scan(logic) is None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,11 @@ from qlogic.errors import (
 )
 from qlogic.lattice import ONE, ZERO
 from qlogic.rational import bounded_lcm
-from qlogic.states import conditional_system_generated
+from qlogic.states import (
+    ConditionalState,
+    ConditionalSystem,
+    conditional_system_generated,
+)
 
 
 def test_fixture_smap(example21):
@@ -129,6 +134,25 @@ def test_conversion_needs_total_conditioning(mo2, example21):
     with pytest.raises(DomainTooSmall) as exc:
         smap_from_conditional(sub)
     assert exc.value.missing == "1"  # first nonzero element outside the cs
+
+
+def test_a_full_size_system_without_a_nonzero_element_is_refused(mo3):
+    """A system of as many members as the full one, with "0" or an unknown
+    name in place of one or two nonzero elements, is too small; the witness
+    is the first nonzero element it lacks, in index order."""
+    f = conditional_from_smap(random_smap(mo3, 0))
+    nonzero = mo3.names[1:]
+    assert mo3.names[0] == ZERO and f.cs.members == frozenset(nonzero)
+    assert conditional_from_smap(random_smap(mo3, 1)).cs is f.cs  # kept
+    for k, stand_ins in ((1, {"0"}), (1, {"zz"}), (2, {"0", "zz"})):
+        for lost in combinations(nonzero, k):
+            members = frozenset(f.cs.members - set(lost) | stand_ins)
+            assert len(members) == len(nonzero)
+            hand_built = ConditionalState.from_columns(
+                mo3, ConditionalSystem(mo3, members), f.columns)
+            with pytest.raises(DomainTooSmall) as exc:
+                smap_from_conditional(hand_built)
+            assert exc.value.missing == lost[0], (lost, stand_ins)
 
 
 def test_vanishing_diagonal_blocks_recovery(mo2):

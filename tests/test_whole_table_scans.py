@@ -1,11 +1,12 @@
 """The witness relation and the s-map law pre-pass against the references.
 
 `oracle_scan` and `brute_force_compatible` read one witness relation,
-marked in a single pass over every orthogonal triple; `smap_law_scan`
-decides its cell laws on the whole table through gathers kept on the
-lattice, and walks the table only when they fail.  Both must still agree
-with the name-keyed references of `test_scan_reference.py`, pair by pair
-and message by message.
+marked in a single pass over every orthogonal triple and kept on the
+logic, as are the verdicts of the oracle and distributivity scans;
+`smap_law_scan` decides its cell laws on the whole table through gathers
+kept on the lattice, and walks the table only when they fail.  Both must
+still agree with the name-keyed references of `test_scan_reference.py`,
+pair by pair and message by message.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from test_scan_reference import (
     Miswired,
     outcome,
     reference_brute_force_compatible,
+    reference_distributivity_scan,
     reference_oracle_scan,
     reference_smap_law_scan,
     single_cell_nudges,
@@ -30,6 +32,7 @@ from qlogic.generators import (
     _law_cells,
     _witnessed,
     brute_force_compatible,
+    distributivity_scan,
     oracle_scan,
     smap_law_scan,
 )
@@ -84,16 +87,77 @@ def test_an_unknown_name_has_no_witness(mo2):
 
 
 def test_the_size_cap_message_is_the_reference_one():
-    big = horizontal_sum([2] * 12)  # 26 elements
+    big = fresh(horizontal_sum([2] * 12))  # 26 elements, nothing kept
     assert len(big) > BRUTE_FORCE_MAX
     with pytest.raises(SizeOutOfRange) as expected:
         reference_brute_force_compatible(big, "a", "b")
     for call in (lambda: brute_force_compatible(big, "a", "b"),
                  lambda: brute_force_compatible(big, "zz", "a"),
-                 lambda: oracle_scan(big)):
+                 lambda: oracle_scan(big)) * 2:  # every call is refused
         with pytest.raises(SizeOutOfRange) as got:
             call()
         assert str(got.value) == str(expected.value)
+    assert big._kept == {}
+
+
+# -- lattice facts decided once per logic ---------------------------------------
+
+
+class CountedKept(dict):
+    """A logic's kept tables, recording each derivation as it is kept."""
+
+    def __init__(self):
+        super().__init__()
+        self.derived = []
+
+    def __setitem__(self, derive, table):
+        self.derived.append(derive)
+        super().__setitem__(derive, table)
+
+
+def counted(logic):
+    """`fresh(logic)`, with its derivations recorded."""
+    logic = fresh(logic)
+    logic._kept = CountedKept()
+    return logic
+
+
+def test_the_witness_relation_is_derived_once_per_logic():
+    logic = counted(gen_mo(4))
+    for a in logic.names:
+        for b in logic.names:
+            assert brute_force_compatible(logic, a, b) == logic.is_compatible(a, b)
+    assert logic._kept.derived == [_witnessed]
+
+
+@pytest.mark.parametrize("scan", [oracle_scan, distributivity_scan],
+                         ids=["oracle", "distributivity"])
+def test_a_repeated_lattice_scan_derives_nothing_new(scan):
+    for shape in (gen_mo(3), gen_boolean(3), horizontal_sum([2, 3])):
+        logic = counted(shape)
+        assert scan(logic) is None
+        derived = list(logic._kept.derived)
+        assert scan in derived and len(set(derived)) == len(derived)
+        assert scan(logic) is None and scan(logic) is None
+        assert logic._kept.derived == derived
+
+
+def test_a_miswired_copy_is_decided_afresh():
+    """A copy equal to a logic whose verdicts are kept, but which answers
+    `is_compatible` otherwise, gets its own: one wrong pair fails the
+    oracle, and calling every pair compatible fails distributivity."""
+    logic = gen_mo(3)
+    assert oracle_scan(logic) is None and distributivity_scan(logic) is None
+    incompatible = [(a, b) for a in logic.names for b in logic.names
+                    if not logic.is_compatible(a, b)]
+    for wrong, scan, reference in (
+            (Miswired(logic, [("a", "b")]), oracle_scan, reference_oracle_scan),
+            (Miswired(logic, incompatible), distributivity_scan,
+             reference_distributivity_scan)):
+        expected = reference(wrong)
+        assert wrong == logic and expected is not None
+        assert scan(wrong) == expected and scan(wrong) == expected
+    assert oracle_scan(logic) is None and distributivity_scan(logic) is None
 
 
 # -- the s-map law pre-pass -----------------------------------------------------
