@@ -30,7 +30,6 @@ from .modelfile import (
     emit_logic,
     emit_smap,
     emit_state,
-    kind_attr,
     parse_model,
     realize_logic,
     realize_observable,
@@ -104,7 +103,7 @@ def cmd_derive(args) -> int:
     if parsed is None:
         return code
     kind = args.source
-    if args.name not in getattr(parsed, kind_attr(kind)):
+    if (kind, args.name) not in parsed.sections:
         return _fail(f"no [{kind} {args.name}] section in {args.file}", 2)
     try:
         logic = realize_logic(parsed)
@@ -137,14 +136,10 @@ def _machine_block(stats) -> list:
                  f"{'true' if stats.matrix.is_symmetric else 'false'}")
     lines.append(f"observables_compatible="
                  f"{'true' if stats.compatible else 'false'}")
-    for t in stats.joint_xy.x_spectrum:
-        for s in stats.joint_xy.y_spectrum:
-            lines.append(f"joint_xy({fmt(t)},{fmt(s)})="
-                         f"{fmt(stats.joint_xy.table[t, s])}")
-    for s in stats.joint_yx.x_spectrum:
-        for t in stats.joint_yx.y_spectrum:
-            lines.append(f"joint_yx({fmt(s)},{fmt(t)})="
-                         f"{fmt(stats.joint_yx.table[s, t])}")
+    for key, joint in (("joint_xy", stats.joint_xy), ("joint_yx", stats.joint_yx)):
+        for t in joint.x_spectrum:
+            for s in joint.y_spectrum:
+                lines.append(f"{key}({fmt(t)},{fmt(s)})={fmt(joint.table[t, s])}")
     for (u, v), flag in sorted(stats.independence.items()):
         lines.append(f"indep({u},{v})={'true' if flag else 'false'}")
     return lines
@@ -167,7 +162,7 @@ def cmd_stats(args) -> int:
         return code
     for kind, name in (("smap", args.smap), ("observable", args.x),
                        ("observable", args.y)):
-        if name not in getattr(parsed, kind_attr(kind)):
+        if (kind, name) not in parsed.sections:
             return _fail(f"no [{kind} {name}] section in {args.file}", 2)
     try:
         logic = realize_logic(parsed)
@@ -178,10 +173,8 @@ def cmd_stats(args) -> int:
         return _fail(str(exc), 1)
     stats = compute_stats(p, x, y)
 
-    x_vals = ", ".join(fmt(t) for t in x.spectrum)
-    y_vals = ", ".join(fmt(s) for s in y.spectrum)
-    print(f"observable {args.x}: values {x_vals}")
-    print(f"observable {args.y}: values {y_vals}")
+    for name, obs in ((args.x, x), (args.y, y)):
+        print(f"observable {name}: values {', '.join(fmt(t) for t in obs.spectrum)}")
     _print_joint(f"joint of ({args.x}, {args.y})", stats.joint_xy)
     _print_joint(f"joint of ({args.y}, {args.x})", stats.joint_yx)
     print(f"compatible: {'yes' if stats.compatible else 'no'}")

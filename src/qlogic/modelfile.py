@@ -130,6 +130,14 @@ def _number(token: str, line: int) -> Fraction:
         raise ParseError(line, f"bad number: {exc}") from None
 
 
+#: section kind -> (separator, the fault of a line without it, separator of
+#: the element pair or None for one element, the fault of a pair without it)
+_LINE_FORMS = {"state": ("=", "expected '='", None, None),
+               "cond": ("=", "expected '='", "|", "expected 'b | a = value'"),
+               "smap": ("=", "expected '='", ",", "expected 'a , b = value'"),
+               "observable": ("->", "expected 'value -> element'", None, None)}
+
+
 def parse_model_text(text: str) -> ParsedModel:
     """Read `text` in one pass over its lines (see the module docstring);
     a line's number is its index in the line list + 1."""
@@ -180,35 +188,18 @@ def parse_model_text(text: str) -> ParsedModel:
     for kind, name, start, end in ranges:
         table = getattr(parsed, kind_attr(kind))[name] = {}
         parsed.sections.append((kind, name))
-        if kind == "observable":
-            for lineno, line in enumerate(lines[start:end], start + 1):
-                if "#" in line:
-                    line = line.partition("#")[0]
-                left, sep, target = line.partition("->")
-                if not sep:
-                    if line.strip():
-                        raise ParseError(lineno, "expected 'value -> element'")
-                    continue
-                token, target = left.strip(), target.strip()
-                value = numbers.get(token)
-                if value is None:
-                    value = numbers[token] = _number(token, lineno)
-                if target not in known:
-                    raise UnknownElement(lineno, target)
-                if value in table:
-                    raise ParseError(lineno, f"duplicate entry for {value}")
-                table[value] = target
-            continue
-        pair, shape = {"cond": ("|", "b | a"), "smap": (",", "a , b"),
-                       "state": (None, None)}[kind]
+        split, fault, pair, pair_fault = _LINE_FORMS[kind]
+        flip = split == "->"  # an observable writes its value first
         for lineno, line in enumerate(lines[start:end], start + 1):
             if "#" in line:
                 line = line.partition("#")[0]
-            left, sep, token = line.partition("=")
+            left, sep, token = line.partition(split)
             if not sep:
                 if line.strip():
-                    raise ParseError(lineno, "expected '='")
+                    raise ParseError(lineno, fault)
                 continue
+            if flip:
+                left, token = token, left
             token = token.strip()
             value = numbers.get(token)
             if value is None:
@@ -220,13 +211,15 @@ def parse_model_text(text: str) -> ParsedModel:
             else:
                 a, sep, b = left.partition(pair)
                 if not sep:
-                    raise ParseError(lineno, f"expected '{shape} = value'")
+                    raise ParseError(lineno, pair_fault)
                 a, b = a.strip(), b.strip()
                 if a not in known:
                     raise UnknownElement(lineno, a)
                 if b not in known:
                     raise UnknownElement(lineno, b)
                 key = (a, b)
+            if flip:
+                key, value = value, key
             if key in table:
                 raise ParseError(lineno, f"duplicate entry for {key}")
             table[key] = value
@@ -234,7 +227,7 @@ def parse_model_text(text: str) -> ParsedModel:
 
 
 def _parse_logic(parsed: ParsedModel, lines, start: int, end: int) -> None:
-    declared = []
+    pairs = {"order": (parsed.order, []), "complement": (parsed.complements, [])}
     for lineno, line in enumerate(lines[start:end], start + 1):
         words = (line.partition("#")[0] if "#" in line else line).split()
         if not words:
@@ -247,25 +240,21 @@ def _parse_logic(parsed: ParsedModel, lines, start: int, end: int) -> None:
                 if not is_element_name(name):
                     raise ParseError(lineno, f"bad element name {name!r}: "
                                              f"names are {NAME_RULE}")
-            declared.extend(args)
-        elif directive == "order":
+            parsed.elements.extend(args)
+        elif directive in pairs:
             if len(args) != 2:
-                raise ParseError(lineno, "order takes two elements")
-            parsed.order.append((lineno, args[0], args[1]))
-        elif directive == "complement":
-            if len(args) != 2:
-                raise ParseError(lineno, "complement takes two elements")
-            parsed.complements.append((lineno, args[0], args[1]))
+                raise ParseError(lineno, f"{directive} takes two elements")
+            found, at = pairs[directive]
+            found.append(tuple(args))
+            at.append(lineno)
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
-    known = set(declared) | {ZERO, ONE}
-    for lineno, a, b in parsed.order + parsed.complements:
-        for token in (a, b):
-            if token not in known:
-                raise UnknownElement(lineno, token)
-    parsed.elements = declared
-    parsed.order = [(a, b) for _, a, b in parsed.order]
-    parsed.complements = [(a, b) for _, a, b in parsed.complements]
+    known = set(parsed.elements) | {ZERO, ONE}
+    for found, at in pairs.values():  # every order pair, then every complement
+        for lineno, pair in zip(at, found):
+            for token in pair:
+                if token not in known:
+                    raise UnknownElement(lineno, token)
 
 
 def parse_model(path) -> ParsedModel:

@@ -72,7 +72,8 @@ class SMap:
 
     @property
     def values(self) -> _TableView:
-        return _TableView(self, self.num, self.den)
+        return _TableView(self, {r: (row, self.den)
+                                 for r, row in enumerate(self.rows())}, flip=False)
 
     def rows(self) -> list:
         """The numerators, one tuple per row, indexed like `logic.names`."""

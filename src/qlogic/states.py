@@ -118,24 +118,18 @@ class _TableView(Mapping):
     integer table, keyed by names.  A read is the owner's `__call__`, so a
     key the owner has no cell for is missing here.
 
-    An s-map's view walks `num`, its row-major numerators over `den`, keyed
-    (a, b).  A conditional state's has `den` None and walks `num` as its
-    columns, member index -> (numerators, denominator), keyed (b, a).  None
-    in a table marks a hole.  No owner keeps its view, so a view adds no
-    reference cycle.
+    The owner hands over its table as `lines`, index -> (numerators,
+    denominator), numerators indexed like `logic.names` and None where the
+    table has a hole.  An s-map's lines are its rows, keyed (a, b); a
+    conditional state's are its columns, keyed (b, a), so its keys are
+    `flip`ped.  No owner keeps its view, so a view adds no reference cycle.
     """
 
-    __slots__ = ("_owner", "_logic", "_num", "_den")
+    __slots__ = ("_owner", "_logic", "_lines", "_flip")
 
-    def __init__(self, owner, num, den: int | None = None):
-        self._owner, self._logic, self._num, self._den = owner, owner.logic, num, den
-
-    def _line(self, i) -> tuple:
-        """The numerators of row or column i."""
-        if self._den is None:
-            return self._num[i][0]
-        n = len(self._logic)
-        return self._num[i * n:(i + 1) * n]
+    def __init__(self, owner, lines: dict, flip: bool):
+        self._owner, self._logic = owner, owner.logic
+        self._lines, self._flip = lines, flip
 
     def __getitem__(self, key) -> Fraction:
         if isinstance(key, tuple) and len(key) == 2:
@@ -146,23 +140,22 @@ class _TableView(Mapping):
         raise KeyError(key)
 
     def __iter__(self):
-        names, flip = self._logic.names, self._den is None
-        for i in (self._num if flip else range(len(names))):
-            for v, cell in zip(names, self._line(i)):
+        names, flip = self._logic.names, self._flip
+        for i, (num, _) in self._lines.items():
+            for v, cell in zip(names, num):
                 if cell is not None:
                     yield (v, names[i]) if flip else (names[i], v)
 
     def __len__(self) -> int:
-        lines = self._num.values() if self._den is None else [(self._num, 0)]
-        return sum(len(num) - num.count(None) for num, _ in lines)
+        return sum(len(num) - num.count(None) for num, _ in self._lines.values())
 
     def __eq__(self, other) -> bool:
         # equal tables, both in lowest terms, are equal views; other views
         # are walked, as a column of holes only may be in one of them
         if (isinstance(other, _TableView)
-                and (other._den is None) == (self._den is None)
+                and other._flip == self._flip
                 and other._logic.names == self._logic.names
-                and other._num == self._num and other._den == self._den):
+                and other._lines == self._lines):
             return True
         if not isinstance(other, Mapping):
             return NotImplemented
@@ -299,7 +292,7 @@ class ConditionalState:
 
     @property
     def values(self) -> _TableView:
-        return _TableView(self, self.columns)
+        return _TableView(self, self.columns, flip=True)
 
     @cached_property
     def _common_columns(self) -> tuple[dict, int]:

@@ -21,6 +21,7 @@ from qlogic import (
     conditional_from_smap,
     generators,
     lattice,
+    rational,
     repro,
     validate_smap,
 )
@@ -174,7 +175,37 @@ def test_derive_smap_to_cond(files, capsys):
 
 
 def test_derive_missing_section(files, capsys):
-    assert main(["derive", files["2.1"], "--from", "smap", "--name", "q"]) == 2
+    """A name no section has, and one only a [cond] section has."""
+    for name in ("q", "f"):
+        assert main(["derive", files["2.1"], "--from", "smap", "--name", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: no [smap {name}] section in {files['2.1']}\n"
+
+
+def test_derive_caps_the_columns_taken_together(tmp_path, monkeypatch, capsys):
+    """`validate` caps the denominator of each conditioning event's column,
+    `derive --from cond` that of all columns together.  On mo(2), with the
+    cap at 600 bits: columns a and a' hold y and 1 - y over 3^250 (397
+    bits), columns b and b' hold x and 1 - x over 7^141 (396 bits), and the
+    column of 1 holds 1/2 everywhere."""
+    monkeypatch.setattr(rational, "MAX_DENOMINATOR_BITS", 600)
+    x, y = F(1, 7 ** 141), F(1, 3 ** 250)
+    columns = {"1": (F(1, 2),) * 4, "a": (1, 0, y, 1 - y), "a'": (0, 1, 1 - y, y),
+               "b": (x, 1 - x, 1, 0), "b'": (1 - x, x, 0, 1)}
+    path = tmp_path / "wide.qlm"
+    path.write_text("[logic]\nelements 0 1 a a' b b'\ncomplement a a'\n"
+                    "complement b b'\n[cond f]\n" + "".join(
+                        f"{b} | {a} = {v}\n" for a, column in columns.items()
+                        for b, v in zip(("a", "a'", "b", "b'"), column)),
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == "logic: ok (6 elements)\ncond f: ok\n"
+    assert main(["derive", str(path), "--from", "cond", "--name", "f"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the common denominator of a table "
+                            "exceeds 600 bits\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -321,8 +352,13 @@ def test_stats_invalid_smap_exits_1(files, capsys):
 
 
 def test_stats_missing_observable(files, capsys):
-    assert main(["stats", files["2.1"], "--smap", "p",
-                 "--x", "x", "--y", "z"]) == 2
+    """A name no section has, and one only an [smap] section has."""
+    for x, y, missing in (("x", "z", "z"), ("p", "y", "p")):
+        assert main(["stats", files["2.1"], "--smap", "p", "--x", x, "--y", y]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: no [observable {missing}] section in "
+                                f"{files['2.1']}\n")
 
 
 # -- a lattice that is not a horizontal sum ----------------------------------

@@ -218,6 +218,12 @@ XY = "[logic]\nelements 0 1 x y\ncomplement x y\n"
      "duplicate entry for ('x', 'y')"),
     ("[observable o]\n1 -> x\n1 -> y\n1/0 -> x\n", 6,
      "duplicate entry for 1"),
+    # each kind's own separator: an observable's arrow is no '='
+    ("[state m]\nx -> 1\n", 5, "expected '='"),
+    ("[cond f]\nx | y -> 1\n", 5, "expected '='"),
+    # a duplicate key, printed as the table keys it
+    ("[state m]\nx = 1\nx = 0\n", 6, "duplicate entry for x"),
+    ("[smap p]\nx , y = 0\nx , y = 0\n", 6, "duplicate entry for ('x', 'y')"),
 ])
 def test_parse_reports_the_first_fault(body, line, message):
     """Fields are read left to right except that a line's number comes
