@@ -1,8 +1,14 @@
 """Command-line front end.
 
 Exit codes are part of the contract: 0 for success (including an expected
-failure reproduced by `repro`), 1 when a model or check fails, 2 for
-unreadable input, bad usage or a standard output closed early.  All
+failure reproduced by `repro`), 1 when a model or check fails, 2 for input
+the command cannot use.  The commands raise, and `main` alone turns an
+error into its exit code and one `error:` line on stderr: 2 for an
+unreadable or non-UTF-8 file, a parse error, an unknown element, a missing
+section, a refused family size or shape (`gen mo 0`, `check boolean 1`), an
+unknown repro id or a standard output closed early (argparse exits 2 on a
+usage error itself); 1 for every other library error.  `validate` prints
+its verdicts instead, one INVALID line per failing part.  All
 machine-readable output goes to stdout as `key=value` lines with exact
 fractions; correlations are the only floats, printed to nine places.
 """
@@ -14,7 +20,7 @@ import functools
 import os
 import sys
 
-from .errors import ModelFileError, QLogicError
+from .errors import ModelFileError, QLogicError, SizeOutOfRange, UnsupportedLattice
 from .generators import (
     distributivity_scan,
     gen_boolean,
@@ -32,8 +38,6 @@ from .modelfile import (
     emit_state,
     parse_model,
     realize_logic,
-    realize_observable,
-    realize_smap,
 )
 from .observables import compute_stats
 from .rational import fmt, fmt_float
@@ -51,6 +55,10 @@ def positive_int(text: str) -> int:
     return value
 
 
+class _Unusable(Exception):
+    """Input the command cannot use; `main` exits 2 on it."""
+
+
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -58,14 +66,26 @@ def _fail(message: str, code: int) -> int:
 
 def _parse_file(path):
     """Shared front half of every file-reading command; ModelFileError,
-    OSError and bytes that are not UTF-8 are usage-level failures (exit 2).
+    OSError and bytes that are not UTF-8 make the file unusable.
     """
     try:
-        return parse_model(path), None
+        return parse_model(path)
     except OSError as exc:
-        return None, _fail(str(exc), 2)
+        raise _Unusable(str(exc)) from None
     except (ModelFileError, UnicodeDecodeError) as exc:
-        return None, _fail(f"{path}: {exc}", 2)
+        raise _Unusable(f"{path}: {exc}") from None
+
+
+def _realize_sections(path, wanted) -> list:
+    """The sections `wanted` names as (kind, name) pairs, realized in order
+    on the file's logic once every one of them is known to exist."""
+    parsed = _parse_file(path)
+    for kind, name in wanted:
+        if (kind, name) not in parsed.sections:
+            raise _Unusable(f"no [{kind} {name}] section in {path}")
+    logic = realize_logic(parsed)
+    return [REALIZERS[kind](logic, parsed.table(kind, name))
+            for kind, name in wanted]
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +93,7 @@ def _parse_file(path):
 
 
 def cmd_validate(args) -> int:
-    parsed, code = _parse_file(args.file)
-    if parsed is None:
-        return code
+    parsed = _parse_file(args.file)
     try:
         logic = realize_logic(parsed)
     except QLogicError as exc:
@@ -99,19 +117,10 @@ def cmd_validate(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    parsed, code = _parse_file(args.file)
-    if parsed is None:
-        return code
     kind = args.source
-    if (kind, args.name) not in parsed.sections:
-        return _fail(f"no [{kind} {args.name}] section in {args.file}", 2)
-    try:
-        logic = realize_logic(parsed)
-        obj = REALIZERS[kind](logic, parsed.table(kind, args.name))
-        lines = (emit_smap(args.name, smap_from_conditional(obj)) if kind == "cond"
-                 else emit_cond(args.name, conditional_from_smap(obj)))
-    except QLogicError as exc:
-        return _fail(str(exc), 1)
+    [obj] = _realize_sections(args.file, [(kind, args.name)])
+    lines = (emit_smap(args.name, smap_from_conditional(obj)) if kind == "cond"
+             else emit_cond(args.name, conditional_from_smap(obj)))
     print("\n".join(lines))
     return 0
 
@@ -157,20 +166,8 @@ def _print_joint(title: str, joint) -> None:
 
 
 def cmd_stats(args) -> int:
-    parsed, code = _parse_file(args.file)
-    if parsed is None:
-        return code
-    for kind, name in (("smap", args.smap), ("observable", args.x),
-                       ("observable", args.y)):
-        if (kind, name) not in parsed.sections:
-            return _fail(f"no [{kind} {name}] section in {args.file}", 2)
-    try:
-        logic = realize_logic(parsed)
-        p = realize_smap(logic, parsed.table("smap", args.smap))
-        x = realize_observable(logic, parsed.table("observable", args.x))
-        y = realize_observable(logic, parsed.table("observable", args.y))
-    except QLogicError as exc:
-        return _fail(str(exc), 1)
+    p, x, y = _realize_sections(args.file, [
+        ("smap", args.smap), ("observable", args.x), ("observable", args.y)])
     stats = compute_stats(p, x, y)
 
     for name, obs in ((args.x, x), (args.y, y)):
@@ -195,21 +192,19 @@ def cmd_stats(args) -> int:
 
 
 def _family_lattice(args, sampled: bool):
-    """The lattice `args` names, or an exit code; with `sampled`, it must
-    also be a horizontal sum the seeded sampler can draw on."""
+    """The lattice `args` names; with `sampled`, it must also be a
+    horizontal sum the seeded sampler can draw on."""
     try:
         logic = FAMILIES[args.family](args.n)
         if sampled:
             infer_blocks(logic)
-        return logic, None
-    except QLogicError as exc:
-        return None, _fail(str(exc), 2)
+    except (SizeOutOfRange, UnsupportedLattice) as exc:  # a refused size or shape
+        raise _Unusable(str(exc)) from None
+    return logic
 
 
 def cmd_gen(args) -> int:
-    logic, code = _family_lattice(args, args.seed is not None)
-    if logic is None:
-        return code
+    logic = _family_lattice(args, args.seed is not None)
     chunks = [emit_logic(logic)]
     if args.seed is not None:
         p = random_smap(logic, args.seed)
@@ -220,9 +215,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    logic, code = _family_lattice(args, True)
-    if logic is None:
-        return code
+    logic = _family_lattice(args, True)
     failures = 0
 
     mismatch = oracle_scan(logic)
@@ -253,10 +246,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    try:
-        report = run_repro(args.id)
-    except KeyError as exc:
-        return _fail(exc.args[0], 2)
+    if args.id not in REPRO_IDS:  # before any runner, whose KeyError is a defect
+        raise _Unusable(f"unknown repro id {args.id!r}; "
+                        f"choose from {', '.join(REPRO_IDS)}")
+    report = run_repro(args.id)
     for line in report.lines:
         print(line)
     verdict = "ok" if report.ok else "FAIL"
@@ -330,7 +323,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:  # the one place an error picks its exit code
+            code = args.func(args)
+        except _Unusable as exc:
+            code = _fail(str(exc), 2)
+        except QLogicError as exc:
+            code = _fail(str(exc), 1)
         print(end="", flush=True)  # a closed pipe fails here, not at exit
     except BrokenPipeError:  # the reader left; the flushes at exit go nowhere
         with open(os.devnull, "wb") as devnull:

@@ -361,6 +361,29 @@ def test_stats_missing_observable(files, capsys):
                                 f"{files['2.1']}\n")
 
 
+def test_stats_caps_the_values_taken_together(tmp_path, monkeypatch, capsys):
+    """`stats` caps the values of its two observables taken together, and
+    exits 1 with the error line of `derive --from cond` over the cap.  On
+    mo(2), with the cap at 600 bits: x takes 1/3^250 and 2/3^250 (397
+    bits), y takes 1/7^141 and 2/7^141 (396 bits), 793 bits together, and
+    `validate` accepts both."""
+    monkeypatch.setattr(rational, "MAX_DENOMINATOR_BITS", 600)
+    path = tmp_path / "wide.qlm"
+    path.write_text(fixture_text("2.1").split("[observable x]")[0] + "".join(
+        f"[observable {name}]\n1/{base ** k} -> {e}\n2/{base ** k} -> {e}'\n"
+        for name, base, k, e in (("x", 3, 250, "a"), ("y", 7, 141, "b"))),
+                    encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out == ("logic: ok (6 elements)\ncond f: ok\n"
+                                       "smap p: ok\nobservable x: ok\n"
+                                       "observable y: ok\n")
+    assert main(["stats", str(path), "--smap", "p", "--x", "x", "--y", "y"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the common denominator of a table "
+                            "exceeds 600 bits\n")
+
+
 # -- a lattice that is not a horizontal sum ----------------------------------
 
 PASTING_LOGIC = """\
@@ -589,6 +612,26 @@ def test_repro_reports_failing_checks(monkeypatch, capsys):
 def test_repro_unknown_id(capsys):
     assert main(["repro", "3.7"]) == 2
     assert "unknown repro id" in capsys.readouterr().err
+
+
+def test_repro_unknown_id_is_one_error_line(capsys):
+    assert main(["repro", "3.7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: unknown repro id '3.7'; choose from 2.1, "
+                            "2.2-printed, 2.2-corrected\n")
+
+
+def test_a_key_error_inside_a_runner_is_not_an_unknown_id(monkeypatch, capsys):
+    """A runner that fails with KeyError, as on a fixture that lost its
+    [cond f], is a defect: it propagates instead of exiting 2."""
+    def lost_section(report):
+        raise KeyError("f")
+
+    monkeypatch.setitem(repro.RUNNERS, "2.1", lost_section)
+    with pytest.raises(KeyError, match="f"):
+        main(["repro", "2.1"])
+    assert capsys.readouterr().err == ""
 
 
 def test_usage_error_exits_2():
