@@ -119,7 +119,7 @@ def _keeps_contract(command: str, code: int, out: str, err: str) -> bool:
         return err == ""
     if command == "validate" and code == 1:
         return "INVALID" in out and err == ""
-    return (code == 2 or code == 1) and out == "" and (
+    return code in (1, 2) and out == "" and (
         err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"))
 
 
