@@ -146,9 +146,8 @@ def _machine_block(stats) -> list:
     lines.append(f"observables_compatible="
                  f"{'true' if stats.compatible else 'false'}")
     for key, joint in (("joint_xy", stats.joint_xy), ("joint_yx", stats.joint_yx)):
-        for t in joint.x_spectrum:
-            for s in joint.y_spectrum:
-                lines.append(f"{key}({fmt(t)},{fmt(s)})={fmt(joint.table[t, s])}")
+        for (t, s), w in joint.table.items():  # in spectrum order
+            lines.append(f"{key}({fmt(t)},{fmt(s)})={fmt(w)}")
     for (u, v), flag in sorted(stats.independence.items()):
         lines.append(f"indep({u},{v})={'true' if flag else 'false'}")
     return lines
@@ -157,9 +156,9 @@ def _machine_block(stats) -> list:
 def _print_joint(title: str, joint) -> None:
     print(f"{title}:")
     cells = [[""] + [fmt(s) for s in joint.y_spectrum]]
+    weights = iter(joint.table.values())  # row by row, in spectrum order
     for t in joint.x_spectrum:
-        cells.append([fmt(t)] + [fmt(joint.table[t, s])
-                                 for s in joint.y_spectrum])
+        cells.append([fmt(t)] + [fmt(next(weights)) for _ in joint.y_spectrum])
     widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     for row in cells:
         print("  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths)))

@@ -137,7 +137,8 @@ def _form(us, vs, table):
 class JointDistribution(FrozenRecord):
     """The table (t, s) -> p(x(t), y(s)) on the product of two spectra.
     Rows sum to the diagonal state of x's events, columns to y's, and the
-    whole table sums to 1."""
+    whole table sums to 1.  The table lists its cells in x_spectrum ×
+    y_spectrum order: row by row, each row in y_spectrum order."""
 
     _fields = ("x_spectrum", "y_spectrum", "table")
 
@@ -179,8 +180,10 @@ def correlation(p: SMap, x: DiscreteObservable,
     return _coefficient(m.xy, m.xx, m.yy)
 
 
-def _coefficient(cov: Fraction, vx: Fraction, vy: Fraction) -> float:
-    """cov / sqrt(vx vy) from the exact square, which no scale overflows."""
+def _coefficient(cov, vx, vy) -> float:
+    """cov / sqrt(vx vy) from the exact square, which no scale overflows.
+    The three may be Fractions or integers over any one common scale,
+    which cancels in cov^2 / (vx vy)."""
     _check_variances(vx, vy)
     r = math.sqrt(cov * cov / (vx * vy))
     return max(-1.0, min(1.0, -r if cov < 0 else r))
@@ -392,8 +395,8 @@ def compute_stats(p: SMap, x: DiscreteObservable,
     m = _checked(stats.matrix)
     notes = []
     try:
-        r_xy: float | None = _coefficient(m.xy, m.xx, m.yy)
-        r_yx: float | None = _coefficient(m.yx, m.yy, m.xx)
+        r_xy: float | None = _coefficient(stats.cxy, stats.vx, stats.vy)
+        r_yx: float | None = _coefficient(stats.cyx, stats.vy, stats.vx)
     except DegenerateVariance as exc:
         r_xy = r_yx = None
         notes.append(f"correlation omitted: {exc}")

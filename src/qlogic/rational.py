@@ -180,8 +180,10 @@ def reduced(num, den: int) -> tuple[tuple[int, ...], int]:
 
 
 def fmt(q: Fraction) -> str:
-    """Canonical text form: bare integer or 'n/d'."""
-    return fmt_ratio(q.numerator, q.denominator)
+    """Canonical text form: bare integer or 'n/d'.  A Fraction or an int is
+    already in lowest terms, so its parts are printed as they are."""
+    n, d = q.numerator, q.denominator
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def fmt_ratio(num: int, den: int) -> str:

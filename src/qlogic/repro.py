@@ -11,6 +11,7 @@ success there.
 from __future__ import annotations
 
 import math
+import os
 from fractions import Fraction as F
 
 from .errors import S3Violation
@@ -85,13 +86,9 @@ class ReproReport(Record):
 
 
 def fixture_text(ident: str) -> str:
-    # imported on first use, not with the package: it takes about a
-    # quarter of the time `import qlogic.cli` takes with it
-    from importlib import resources
-
-    name = FIXTURES[ident]
-    return resources.files("qlogic").joinpath("fixtures", name).read_text(
-        encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "fixtures", FIXTURES[ident])
+    with open(path, encoding="utf-8") as file:
+        return file.read()
 
 
 def _check_stats(report, stats, expected, r_xy: float, r_yx: float) -> None:
@@ -113,9 +110,9 @@ def _repro_21(report: ReproReport) -> None:
 
     derived = smap_from_conditional(f)
     for (u, v), want in sorted(EXAMPLE21_SMAP.items()):
-        report.check(derived(u, v) == want,
-                     f"derived p({u}, {v}) = {fmt(derived(u, v))} "
-                     f"(expected {fmt(want)})")
+        got = derived(u, v)
+        report.check(got == want,
+                     f"derived p({u}, {v}) = {fmt(got)} (expected {fmt(want)})")
     report.check(derived.values == p.values,
                  "conditional state determines the packaged s-map exactly")
     back = conditional_from_smap(p)
@@ -155,8 +152,8 @@ def _repro_22_corrected(report: ReproReport) -> None:
     x, y = model.observables["x"], model.observables["y"]
 
     for (u, v) in EXAMPLE21_SMAP:
-        report.check(p(u, v) == p(v, u),
-                     f"p({u}, {v}) = p({v}, {u}) = {fmt(p(u, v))}")
+        got = p(u, v)
+        report.check(got == p(v, u), f"p({u}, {v}) = p({v}, {u}) = {fmt(got)}")
     stats = compute_stats(p, x, y)
     r = -0.4 / math.sqrt(5.04)
     _check_stats(report, stats, EXAMPLE22_STATS, r, r)

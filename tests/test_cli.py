@@ -622,6 +622,15 @@ def test_repro_unknown_id_is_one_error_line(capsys):
                             "2.2-printed, 2.2-corrected\n")
 
 
+def test_the_library_names_an_unknown_repro_id_as_the_cli_does(capsys):
+    """`run_repro` refuses an unknown id itself, with the text that
+    `qlogic repro` prints after `error: `."""
+    with pytest.raises(KeyError) as exc:
+        repro.run_repro("3.7")
+    assert main(["repro", "3.7"]) == 2
+    assert capsys.readouterr().err == f"error: {exc.value.args[0]}\n"
+
+
 def test_a_key_error_inside_a_runner_is_not_an_unknown_id(monkeypatch, capsys):
     """A runner that fails with KeyError, as on a fixture that lost its
     [cond f], is a defect: it propagates instead of exiting 2."""
@@ -679,9 +688,10 @@ def test_python_dash_m_runs_the_cli():
 
 def test_importing_the_cli_generates_no_code():
     """Without site, whose .pth files may import more, `import qlogic.cli`
-    loads neither `dataclasses` (nor its `inspect`) nor `importlib.resources`,
-    which `repro` imports on its first fixture read; `repro 2.1` then prints
-    what it printed when both were imported with the package."""
+    loads neither `dataclasses` (nor its `inspect`) nor `importlib.resources`;
+    `repro` reads its fixtures as plain files next to the package, and
+    `repro 2.1` prints what it printed when both were imported with the
+    package."""
     env = _module_env()
     done = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, qlogic.cli; print(sorted("

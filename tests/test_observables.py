@@ -7,6 +7,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlogic import (
     DiscreteObservable,
@@ -23,7 +25,7 @@ from qlogic import (
     random_smap,
     variance,
 )
-from qlogic import generators
+from qlogic import gen_boolean, gen_mo, generators, horizontal_sum
 from qlogic.errors import (
     DegenerateVariance,
     DuplicateValue,
@@ -32,6 +34,7 @@ from qlogic.errors import (
     UnknownElementError,
     ZeroElement,
 )
+from qlogic.observables import _coefficient
 
 
 def test_build_observable(mo2):
@@ -248,3 +251,57 @@ def test_independence_block_in_stats(example21):
     assert stats.independence["b", "a"] is False
     assert stats.independence["a", "a'"] is False
     assert ("a", "a") not in stats.independence
+
+
+#: every lattice shape the correlation property is drawn on
+_SHAPES = [gen_mo(2), gen_mo(3), gen_mo(4), gen_boolean(3), horizontal_sum([2, 3])]
+
+#: small fractions, and the values whose squares leave the float range
+_VALUES = st.one_of(st.fractions(-5, 5, max_denominator=12),
+                    st.sampled_from([F(10 ** 200), F(-10 ** 200)]))
+
+
+def _fraction_coefficient(cov, vx, vy):
+    try:
+        return _coefficient(cov, vx, vy)
+    except DegenerateVariance:
+        return None
+
+
+@st.composite
+def _pairs(draw):
+    """An s-map drawn by `random_smap`, and two observables on its blocks;
+    y is sometimes constant, so its variance vanishes."""
+    logic = draw(st.sampled_from(_SHAPES))
+    p = random_smap(logic, draw(st.integers(0, 2 ** 32)))
+    blocks = infer_blocks(logic)
+    x_block, y_block = draw(st.sampled_from(blocks)), draw(st.sampled_from(blocks))
+    x, y = (build_observable(logic, zip(draw(st.lists(
+                _VALUES, min_size=len(b), max_size=len(b), unique=True)), b))
+            for b in (x_block, y_block))
+    if draw(st.booleans()):
+        y = build_observable(logic, {draw(_VALUES): "1"})
+    return p, x, y
+
+
+@settings(deadline=None, max_examples=150)
+@given(_pairs())
+def test_correlations_from_numerators_match_the_fraction_route(pair):
+    """`compute_stats` takes r from the integer numerators of the
+    covariance matrix; the scale they share cancels, and int / int rounds
+    as float(Fraction) does, so the floats are bit-identical."""
+    p, x, y = pair
+    stats = compute_stats(p, x, y)
+    m = covariance_matrix(p, x, y)
+    assert stats.r_xy == _fraction_coefficient(m.xy, m.xx, m.yy)
+    assert stats.r_yx == _fraction_coefficient(m.yx, m.yy, m.xx)
+    assert (stats.r_xy is None) == (m.yy == 0) == (stats.r_yx is None)
+
+
+@settings(deadline=None, max_examples=50)
+@given(_pairs())
+def test_joint_tables_list_their_cells_in_spectrum_order(pair):
+    p, x, y = pair
+    for u, v in ((x, y), (y, x)):
+        assert list(joint_distribution(p, u, v).table) == [
+            (t, s) for t in u.spectrum for s in v.spectrum]

@@ -23,6 +23,8 @@ from qlogic.rational import (
     bounded_lcm,
     check_literal,
     common_denominator,
+    fmt,
+    fmt_ratio,
     frac,
     read_literal,
 )
@@ -209,3 +211,26 @@ def test_the_cross_column_denominator_is_bounded():
         smap_from_conditional(f)
     with pytest.raises(SizeOutOfRange):
         f._common_columns
+
+
+_BIG = 10 ** 200
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(
+    st.fractions(),
+    st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, _BIG)),
+    st.integers(-_BIG, _BIG),
+    st.booleans()))
+def test_fmt_prints_the_lowest_terms_it_is_given(q):
+    """A Fraction, an int or a bool is in lowest terms already, so `fmt`
+    prints its parts as they are, which is what `fmt_ratio` gives after its
+    gcd."""
+    assert fmt(q) == fmt_ratio(q.numerator, q.denominator)
+
+
+def test_fmt_of_bools_and_floats():
+    assert (fmt(True), fmt(False)) == ("1", "0")
+    assert fmt(F(-6, 4)) == "-3/2" and fmt(F(0)) == "0" and fmt(-7) == "-7"
+    with pytest.raises(AttributeError):
+        fmt(0.5)
