@@ -67,8 +67,8 @@ from .records import Record
 from .smaps import SMap, _check_smap
 from .states import (
     ConditionalState,
+    _check_conditional,
     conditional_system_generated,
-    validate_conditional_state,
     validate_state,
 )
 
@@ -101,9 +101,13 @@ class ParsedModel(Record):
         return getattr(self, kind_attr(kind))[name]
 
 
+#: section kind -> the ParsedModel and ModelFile field holding its tables
+_KIND_ATTRS = {"state": "states", "cond": "conds", "smap": "smaps",
+               "observable": "observables"}
+
+
 def kind_attr(kind: str) -> str:
-    return {"state": "states", "cond": "conds", "smap": "smaps",
-            "observable": "observables"}[kind]
+    return _KIND_ATTRS[kind]
 
 
 class ModelFile(Record):
@@ -203,7 +207,10 @@ def parse_model_text(text: str) -> ParsedModel:
             token = token.strip()
             value = numbers.get(token)
             if value is None:
-                value = numbers[token] = _number(token, lineno)
+                try:
+                    value = numbers[token] = read_literal(token)
+                except ValueError:
+                    value = _number(token, lineno)  # raises ParseError
             if pair is None:
                 key = left.strip()
                 if key not in known:
@@ -275,7 +282,7 @@ def realize_logic(parsed: ParsedModel) -> QuantumLogic:
     return build_logic(elements, parsed.order, parsed.complements)
 
 
-#: the bounds' values, shared by every table that omits them
+#: the bounds' values, shared by every state that omits them
 _NIL, _UNIT = Fraction(0), Fraction(1)
 
 
@@ -287,16 +294,26 @@ def realize_state(logic: QuantumLogic, table: dict):
 
 
 def realize_cond(logic: QuantumLogic, table: dict) -> ConditionalState:
-    """Fill the omitted 0 and 1 rows, then validate over the conditional
-    system the conditioning events generate; an unknown event is reported
-    in the table's order."""
-    values = dict(table)
-    members = dict.fromkeys(a for _, a in values)
-    for a in members:
-        values.setdefault((ZERO, a), _NIL)
-        values.setdefault((ONE, a), _UNIT)
+    """Read every given value exactly over the conditional system the
+    conditioning events generate, an unknown event reported in the table's
+    order; then fill the omitted 0 and 1 rows of their columns on the
+    integer table and check the axioms.  That system is closed by
+    construction, so it is not checked again."""
+    members = dict.fromkeys(a for _, a in table)
     cs = conditional_system_generated(logic, members)
-    return validate_conditional_state(logic, cs, values)
+    f = ConditionalState(logic, cs, table)
+    index = logic._index
+    zero, one = index[ZERO], index[ONE]
+    for a in members:
+        num, den = f.columns[index[a]]
+        num = list(num)
+        if num[zero] is None:
+            num[zero] = 0
+        if num[one] is None:
+            num[one] = den
+        f.columns[index[a]] = tuple(num), den
+    _check_conditional(f)
+    return f
 
 
 def realize_smap(logic: QuantumLogic, table: dict) -> SMap:

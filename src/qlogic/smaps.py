@@ -53,12 +53,15 @@ class SMap:
         """Read {(a, b): value} in one pass, entry by entry: resolve a and
         b, then coerce the value with `frac` and write it to its cell.  A
         cell the table lacks is None in `num`."""
-        index, n = logic.index, len(logic)
+        index, n = logic._index, len(logic)
         self.logic = logic
         cells = [None] * (n * n)
         for (a, b), v in values.items():
-            cell = index(a) * n + index(b)  # names before the value
-            cells[cell] = frac(v)
+            try:  # names before the value
+                cell = index[a] * n + index[b]
+            except KeyError:
+                cell = logic.index(a) * n + logic.index(b)  # raises UnknownElementError
+            cells[cell] = v if isinstance(v, Fraction) else frac(v)
         self.num, self.den = common_denominator(cells)
 
     @classmethod

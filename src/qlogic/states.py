@@ -15,6 +15,14 @@ errors.  Both constructors resolve names, refuse events outside the system
 and coerce values with `frac` but check no axiom; each validator is its
 constructor followed by `_check_state_column` or `_check_conditional`.  A
 state has n cells, not n^2, and a read-only name-keyed mapping of them.
+
+`_check_conditional` decides C1 on the rows of the table: no hole, every
+value in [0, 1], the 0 and 1 rows, and additivity as whole rows, the way
+`_check_smap` checks S3.  Only a table that fails is scanned column by
+column, so the first witness is the one a column-by-column scan finds.  A
+model file's `[cond]` section is realized by
+:func:`qlogic.modelfile.realize_cond`, which fills the omitted 0 and 1
+rows on the integer columns, as `realize_smap` fills an s-map's.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from types import MappingProxyType
 
 from .errors import (
@@ -52,10 +61,11 @@ class State(FrozenRecord):
 
     def __init__(self, logic: QuantumLogic, values: Mapping):
         """Resolve each name, then coerce its value, entry by entry."""
-        table = {}
+        index, table = logic._index, {}
         for a, v in values.items():
-            logic.index(a)
-            table[a] = frac(v)
+            if a not in index:
+                logic.index(a)  # raises UnknownElementError
+            table[a] = v if isinstance(v, Fraction) else frac(v)
         self.__dict__.update(logic=logic, values=MappingProxyType(table))
 
     def __call__(self, a: str) -> Fraction:
@@ -268,16 +278,19 @@ class ConditionalState:
         """Read {(b, a): value} in one pass, entry by entry: resolve b,
         refuse an a outside cs, then coerce the value with `frac` and write
         it to its cell.  An entry the table lacks is None in its column."""
-        index, members = logic.index, cs.members
+        index, members = logic._index, cs.members
         self.logic, self.cs = logic, cs
         cells = {a: [None] * len(logic) for a in members}
         for (b, a), v in values.items():
-            row = index(b)
+            try:
+                row = index[b]
+            except KeyError:
+                row = logic.index(b)  # raises UnknownElementError
             if a not in members:
                 raise InvalidConditionalSystem(
                     f"entry ({b} | {a}) conditions outside the conditional system")
-            cells[a][row] = frac(v)
-        self.columns = {index(a): common_denominator(cells[a])
+            cells[a][row] = v if isinstance(v, Fraction) else frac(v)
+        self.columns = {logic.index(a): common_denominator(cells[a])
                         for a in cs.sorted_members()}
 
     @classmethod
@@ -358,11 +371,12 @@ def _check_conditional(f: ConditionalState) -> None:
     """
     logic, columns = f.logic, f.columns
     names = logic.names
-    for a, (num, den) in columns.items():
-        try:
-            _check_state_column(logic, num, den)
-        except ValidationError as exc:
-            raise C1Violation(names[a], exc) from None
+    if not _columns_are_states(logic, columns):
+        for a, (num, den) in columns.items():
+            try:
+                _check_state_column(logic, num, den)
+            except ValidationError as exc:
+                raise C1Violation(names[a], exc) from None
     for a, (num, den) in columns.items():
         if num[a] != den:
             raise C2Violation(names[a], Fraction(num[a], den))
@@ -379,6 +393,21 @@ def _check_conditional(f: ConditionalState) -> None:
                 raise C3Violation((names[i], names[k]), names[b],
                                   Fraction(nb_j, d_j),
                                   Fraction(x * nb_a + y * nb_c, d_j * z))
+
+
+def _columns_are_states(logic: QuantumLogic, columns: dict) -> bool:
+    """C1 decided on the whole table at once: no hole, every cell in
+    [0, den], the 0 and 1 rows, and additivity as whole rows of the
+    transposed table.  True exactly when `_check_state_column` passes on
+    every column; only a table that fails here is scanned by it."""
+    zero, one = logic._index[ZERO], logic._index[ONE]
+    if not all(None not in num and 0 <= min(num) and max(num) <= den
+               and num[zero] == 0 and num[one] == den
+               for num, den in columns.values()):
+        return False
+    rows = list(zip(*[num for num, _ in columns.values()]))  # none: no member
+    return not rows or all(rows[k] == tuple(map(add, rows[i], rows[j]))
+                           for i, j, k in logic._orth_pairs)
 
 
 def conditional_state_from_partition(logic: QuantumLogic, parts, alphas,
