@@ -207,10 +207,7 @@ def parse_model_text(text: str) -> ParsedModel:
             token = token.strip()
             value = numbers.get(token)
             if value is None:
-                try:
-                    value = numbers[token] = read_literal(token)
-                except ValueError:
-                    value = _number(token, lineno)  # raises ParseError
+                value = numbers[token] = _number(token, lineno)
             if pair is None:
                 key = left.strip()
                 if key not in known:

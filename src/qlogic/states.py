@@ -16,11 +16,7 @@ and coerce values with `frac` but check no axiom; each validator is its
 constructor followed by `_check_state_column` or `_check_conditional`.  A
 state has n cells, not n^2, and a read-only name-keyed mapping of them.
 
-`_check_conditional` decides C1 on the rows of the table: no hole, every
-value in [0, 1], the 0 and 1 rows, and additivity as whole rows, the way
-`_check_smap` checks S3.  Only a table that fails is scanned column by
-column, so the first witness is the one a column-by-column scan finds.  A
-model file's `[cond]` section is realized by
+A model file's `[cond]` section is realized by
 :func:`qlogic.modelfile.realize_cond`, which fills the omitted 0 and 1
 rows on the integer columns, as `realize_smap` fills an s-map's.
 """
@@ -30,7 +26,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from operator import add
 from types import MappingProxyType
 
 from .errors import (
@@ -371,12 +366,11 @@ def _check_conditional(f: ConditionalState) -> None:
     """
     logic, columns = f.logic, f.columns
     names = logic.names
-    if not _columns_are_states(logic, columns):
-        for a, (num, den) in columns.items():
-            try:
-                _check_state_column(logic, num, den)
-            except ValidationError as exc:
-                raise C1Violation(names[a], exc) from None
+    for a, (num, den) in columns.items():
+        try:
+            _check_state_column(logic, num, den)
+        except ValidationError as exc:
+            raise C1Violation(names[a], exc) from None
     for a, (num, den) in columns.items():
         if num[a] != den:
             raise C2Violation(names[a], Fraction(num[a], den))
@@ -393,21 +387,6 @@ def _check_conditional(f: ConditionalState) -> None:
                 raise C3Violation((names[i], names[k]), names[b],
                                   Fraction(nb_j, d_j),
                                   Fraction(x * nb_a + y * nb_c, d_j * z))
-
-
-def _columns_are_states(logic: QuantumLogic, columns: dict) -> bool:
-    """C1 decided on the whole table at once: no hole, every cell in
-    [0, den], the 0 and 1 rows, and additivity as whole rows of the
-    transposed table.  True exactly when `_check_state_column` passes on
-    every column; only a table that fails here is scanned by it."""
-    zero, one = logic._index[ZERO], logic._index[ONE]
-    if not all(None not in num and 0 <= min(num) and max(num) <= den
-               and num[zero] == 0 and num[one] == den
-               for num, den in columns.values()):
-        return False
-    rows = list(zip(*[num for num, _ in columns.values()]))  # none: no member
-    return not rows or all(rows[k] == tuple(map(add, rows[i], rows[j]))
-                           for i, j, k in logic._orth_pairs)
 
 
 def conditional_state_from_partition(logic: QuantumLogic, parts, alphas,
