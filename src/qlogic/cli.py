@@ -32,10 +32,10 @@ from .generators import (
 )
 from .modelfile import (
     REALIZERS,
+    ModelFile,
     emit_cond,
-    emit_logic,
+    emit_model,
     emit_smap,
-    emit_state,
     parse_model,
     realize_logic,
 )
@@ -204,12 +204,11 @@ def _family_lattice(args, sampled: bool):
 
 def cmd_gen(args) -> int:
     logic = _family_lattice(args, args.seed is not None)
-    chunks = [emit_logic(logic)]
+    model = ModelFile(logic, {}, {}, {}, {})
     if args.seed is not None:
         p = random_smap(logic, args.seed)
-        chunks.append(emit_state("m", p.diagonal_state()))
-        chunks.append(emit_smap("p", p))
-    print("\n\n".join("\n".join(chunk) for chunk in chunks))
+        model.states["m"], model.smaps["p"] = p.diagonal_state(), p
+    print(emit_model(model), end="")
     return 0
 
 

@@ -293,22 +293,19 @@ def realize_state(logic: QuantumLogic, table: dict):
 def realize_cond(logic: QuantumLogic, table: dict) -> ConditionalState:
     """Read every given value exactly over the conditional system the
     conditioning events generate, an unknown event reported in the table's
-    order; then fill the omitted 0 and 1 rows of their columns on the
-    integer table and check the axioms.  That system is closed by
-    construction, so it is not checked again."""
-    members = dict.fromkeys(a for _, a in table)
-    cs = conditional_system_generated(logic, members)
+    order; then fill the omitted 0 and 1 rows of every column of that
+    system on the integer table and check the axioms (an unwritten column
+    fails at its first inner row); the system is closed by construction."""
+    cs = conditional_system_generated(logic, dict.fromkeys(a for _, a in table))
     f = ConditionalState(logic, cs, table)
-    index = logic._index
-    zero, one = index[ZERO], index[ONE]
-    for a in members:
-        num, den = f.columns[index[a]]
+    zero, one = logic._index[ZERO], logic._index[ONE]
+    for a, (num, den) in f.columns.items():
         num = list(num)
         if num[zero] is None:
             num[zero] = 0
         if num[one] is None:
             num[one] = den
-        f.columns[index[a]] = tuple(num), den
+        f.columns[a] = tuple(num), den
     _check_conditional(f)
     return f
 

@@ -10,8 +10,9 @@ by :func:`read_literal` against one grammar, the one `Fraction(str)` uses
 from Python 3.12 on: an optional sign, then an integer `n`, a fraction
 `n/d` (spaces allowed around `/`) or a decimal with optional fractional
 part and exponent (`.5`, `5.`, `1.5E-2`); digit groups may be separated by
-single underscores (`1_000`), and any Unicode decimal digit counts.  The
-grammar does not depend on the Python version, as `Fraction(str)` does.
+single underscores (`1_000`), and any Unicode decimal digit counts.
+qlogic's own regex and caps decide what is a literal, on every Python, and
+`Fraction` computes the value of one outside the `n`, `n/d`, `n.m` forms.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ def read_literal(text: str) -> Fraction:
     Raises ValueError with :func:`check_literal`'s message when `text` is
     over its caps, and :class:`NotALiteral` when it is no literal.  The
     length cap is checked first; a plain `n`, `n/d` or `n.m` of decimal
-    digits is then read directly, and the exponent cap is checked only for
-    a token that has an exponent or does not match the grammar at all.
+    digits is then read directly.  Any other token must match `_LITERAL`
+    (the exponent cap is checked only for a token that has an exponent or
+    does not match) and have no zero denominator; `Fraction` then computes
+    its value with the underscores and whitespace removed.
     """
     token = text.strip()
     if len(token) > MAX_LITERAL_CHARS:
@@ -98,30 +101,9 @@ def read_literal(text: str) -> Fraction:
     match = _LITERAL.fullmatch(token)
     if match is None or match["exp"]:
         check_literal(token)
-    if match is None:
+    if match is None or (match["den"] is not None and not int(match["den"])):
         raise NotALiteral(f"not a rational literal: {text!r}")
-    sign, num, den, decimal, exp = match.group("sign", "num", "den",
-                                               "decimal", "exp")
-    num = int(num or "0")
-    if den is not None:
-        den = int(den)
-        if den == 0:
-            raise NotALiteral(f"not a rational literal: {text!r}")
-    else:
-        den = 1
-        if decimal:
-            decimal = decimal.replace("_", "")
-            scale = 10 ** len(decimal)
-            num, den = num * scale + int(decimal), scale
-        if exp:
-            exp = int(exp)
-            if exp >= 0:
-                num *= 10 ** exp
-            else:
-                den *= 10 ** -exp
-    if sign == "-":
-        num = -num
-    return Fraction(num, den)
+    return Fraction("".join(token.replace("_", "").split()))
 
 
 def frac(value) -> Fraction:

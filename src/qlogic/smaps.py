@@ -42,7 +42,8 @@ from .states import (
 
 
 class SMap:
-    """A validated s-map, total on ordered pairs of elements.
+    """An s-map, total on ordered pairs of elements.  The constructor
+    checks no axiom: `validate_smap` and `modelfile.realize_smap` do.
 
     `num` holds p(a, b) for a, b in `logic.names`, row-major, as integer
     numerators over `den` in lowest terms, so equal s-maps have equal

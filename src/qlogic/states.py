@@ -259,9 +259,10 @@ def conditional_system_generated(logic: QuantumLogic, seed) -> ConditionalSystem
 
 
 class ConditionalState:
-    """A validated two-argument map f(b | a): a state in b for every fixed
+    """A two-argument map f(b | a): a state in b for every fixed
     conditioning event a, normalized on the diagonal, with the Bayes-style
-    decomposition over orthogonal conditionings.
+    decomposition over orthogonal conditionings.  The constructor checks
+    no axiom: `validate_conditional_state` and `modelfile.realize_cond` do.
 
     `columns` maps each member's index, in index order, to the column
     f(. | a): numerators indexed like `logic.names` over one denominator,

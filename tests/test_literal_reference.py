@@ -1,6 +1,8 @@
 """`read_literal` against a reference: the reader as it was when every
 token went through the grammar's regex, kept here verbatim.  The two must
 agree on every input, in value and type or in exception class and message.
+`read_literal` leaves the value of a token outside its fast paths to
+`Fraction(str)`, so this decoder is an independent check of that route.
 
 Unlike the comparison with `Fraction(str)` in test_rational.py, this one
 runs on every supported Python.
@@ -109,6 +111,8 @@ EDGE_CASES = [
     "5/0", "0/0", "0/00", "-5/0", "0", "00", "007/008", "10/4", "-3/6",
     "１２/３", "٣/٤", "٣", "²", "²/3", "5/", "/5", "/", "", " ", "\t7/8\n",
     "1/2/3", "1//2", "1 /2", "1/ 2", "1_0/2", "1/2_0", "+1/2", "1.5", ".5",
+    "-.5e-3", "+.0e0", "1_0e1_0", "1e+0_1", "5/0_0", "1_000.000_1",
+    "3\u2003/\u20034", "-0", "+0/5", "٣.٥e١", "1.5E-2",
 ]
 
 
@@ -131,6 +135,11 @@ def test_edge_cases(text):
     ("٣/٤", Fraction(3, 4)),
     ("²", NotALiteral),
     ("", NotALiteral),
+    ("-.5e-3", Fraction(-1, 2000)),
+    ("1_000.000_1", Fraction(10000001, 10000)),
+    ("٣.٥e١", Fraction(35)),
+    ("3\u2003/\u20034", Fraction(3, 4)),
+    ("5/0_0", NotALiteral),
 ], ids=short_id)
 def test_edge_cases_read_as_documented(text, expected):
     """The caps come before the grammar: `x e 999` is over the exponent cap

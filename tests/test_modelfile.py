@@ -354,6 +354,17 @@ def test_realize_cond_column_must_be_complete(mo2):
     assert isinstance(exc.value.cause, MissingTableEntry)
 
 
+def test_realize_cond_names_the_first_inner_hole_of_an_unwritten_column(mo2):
+    """The written columns a and b generate 1, a' and b' too; the unwritten
+    column 1 gets its 0 and 1 rows filled like the others, so the witness
+    is its first inner row, not a row the file may leave out."""
+    table = {("a", "a"): 1, ("a'", "a"): 0, ("b", "a"): "0.2", ("b'", "a"): "0.8",
+             ("a", "b"): "0.4", ("a'", "b"): "0.6", ("b", "b"): 1, ("b'", "b"): 0}
+    with pytest.raises(C1Violation) as exc:
+        realize_cond(mo2, table)
+    assert str(exc.value) == "f(., 1) is not a state: state table has no entry for a"
+
+
 def test_realize_state_keeps_explicit_bounds(mo2):
     table = {"a": F(2, 5), "a'": F(3, 5), "b": F(3, 10), "b'": F(7, 10),
              "0": F(0), "1": F(1)}
