@@ -1,11 +1,13 @@
 """Plain value records.
 
-A record keeps the values its constructor was given under the names listed
-in `_fields`, in constructor order.  Two records are equal when they are of
-the same class and their fields are equal; a record prints as
-`Name(field=value, ...)`.  A `Record` is mutable and unhashable; a
-`FrozenRecord` refuses assignment and deletion and hashes as the tuple of
-its fields, so it is unhashable when one of them is.
+A record compares and prints by the attributes named in `_fields`.  Two
+records are equal when they are of the same class and those attributes
+are equal; a record prints as `Name(field=value, ...)`.  The eleven value
+records list their constructor arguments there, in constructor order.
+`SMap` and `ConditionalState` list their integer tables and use a record
+only for `==`.  A `Record` is mutable and unhashable; a `FrozenRecord`
+refuses assignment and deletion and hashes as the tuple of its fields, so
+it is unhashable when one of them is.
 """
 
 from __future__ import annotations

@@ -113,10 +113,10 @@ def _repro_21(report: ReproReport) -> None:
         got = derived(u, v)
         report.check(got == want,
                      f"derived p({u}, {v}) = {fmt(got)} (expected {fmt(want)})")
-    report.check(derived.values == p.values,
+    report.check(derived == p,
                  "conditional state determines the packaged s-map exactly")
     back = conditional_from_smap(p)
-    report.check(back.cs == f.cs and back.values == f.values,
+    report.check(back == f,
                  "s-map determines the packaged conditional state exactly")
 
     stats = compute_stats(p, x, y)

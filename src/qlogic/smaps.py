@@ -32,6 +32,7 @@ from .errors import (
 )
 from .lattice import ONE, ZERO, QuantumLogic, kept
 from .rational import bounded_lcm, common_denominator, frac, reduced
+from .records import Record
 from .states import (
     ConditionalState,
     ConditionalSystem,
@@ -41,7 +42,7 @@ from .states import (
 )
 
 
-class SMap:
+class SMap(Record):
     """An s-map, total on ordered pairs of elements.  The constructor
     checks no axiom: `validate_smap` and `modelfile.realize_smap` do.
 
@@ -49,6 +50,8 @@ class SMap:
     numerators over `den` in lowest terms, so equal s-maps have equal
     tables.  `values` is a read-only view of them as Fractions keyed by (a, b).
     """
+
+    _fields = ("logic", "num", "den")
 
     def __init__(self, logic: QuantumLogic, values):
         """Read {(a, b): value} in one pass, entry by entry: resolve a and
@@ -83,12 +86,6 @@ class SMap:
         """The numerators, one tuple per row, indexed like `logic.names`."""
         n, num = len(self.logic), self.num
         return [num[r * n:(r + 1) * n] for r in range(n)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SMap):
-            return NotImplemented
-        return (self.logic == other.logic and self.den == other.den
-                and self.num == other.num)
 
     def __repr__(self) -> str:
         return f"SMap(logic={self.logic!r}, values={self.values!r})"

@@ -46,7 +46,7 @@ from .errors import (
 )
 from .lattice import ONE, ZERO, QuantumLogic
 from .rational import bounded_lcm, common_denominator, frac, reduced
-from .records import FrozenRecord
+from .records import FrozenRecord, Record
 
 
 class State(FrozenRecord):
@@ -155,13 +155,8 @@ class _TableView(Mapping):
         return sum(len(num) - num.count(None) for num, _ in self._lines.values())
 
     def __eq__(self, other) -> bool:
-        # equal tables, both in lowest terms, are equal views; other views
-        # are walked, as a column of holes only may be in one of them
-        if (isinstance(other, _TableView)
-                and other._flip == self._flip
-                and other._logic.names == self._logic.names
-                and other._lines == self._lines):
-            return True
+        # walked cell by cell against a view or any other mapping, building
+        # no dict; the owners compare their tables as records
         if not isinstance(other, Mapping):
             return NotImplemented
         missing = object()  # equal to no value
@@ -258,7 +253,7 @@ def conditional_system_generated(logic: QuantumLogic, seed) -> ConditionalSystem
 # conditional states
 
 
-class ConditionalState:
+class ConditionalState(Record):
     """A two-argument map f(b | a): a state in b for every fixed
     conditioning event a, normalized on the diagonal, with the Bayes-style
     decomposition over orthogonal conditionings.  The constructor checks
@@ -269,6 +264,8 @@ class ConditionalState:
     in lowest terms, so equal conditional states have equal tables.
     `values` is a read-only view of them as Fractions keyed by (b, a).
     """
+
+    _fields = ("logic", "cs", "columns")
 
     def __init__(self, logic: QuantumLogic, cs: ConditionalSystem, values):
         """Read {(b, a): value} in one pass, entry by entry: resolve b,
@@ -310,12 +307,6 @@ class ConditionalState:
         one = bounded_lcm({d for _, d in self.columns.values()})
         return {a: [v * (one // d) for v in num]
                 for a, (num, d) in self.columns.items()}, one
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConditionalState):
-            return NotImplemented
-        return (self.logic == other.logic and self.cs == other.cs
-                and self.columns == other.columns)
 
     def __repr__(self) -> str:
         return (f"ConditionalState(logic={self.logic!r}, cs={self.cs!r}, "

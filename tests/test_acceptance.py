@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from qlogic import cli
+from qlogic import cli, repro
 from qlogic.errors import (
     S1Violation,
     S2Violation,
@@ -85,7 +85,12 @@ P_TABLE = {
 }
 
 
-def test_criterion_1_primary_fixture():
+def _section(text: str, header: str) -> str:
+    start = text.index(header)
+    return text[start:text.index("\n[", start)]
+
+
+def test_criterion_1_primary_fixture(monkeypatch):
     with verdict(1, "p-table from f-table, all statistics, asymmetric matrix, < 1 s"):
         start = time.perf_counter()
         report = run_repro("2.1")
@@ -115,6 +120,19 @@ def test_criterion_1_primary_fixture():
         assert stats.r_yx < 0
         assert abs(abs(stats.r_yx) - 0.178) < 5e-4
         assert not stats.matrix.is_symmetric
+
+        # with example 2.2's valid s-map in place of p, f no longer
+        # determines it, nor it f, and both exactness checks say so
+        text = fixture_text("2.1")
+        swapped = text.replace(_section(text, "[smap p]"),
+                               _section(fixture_text("2.2-corrected"), "[smap p]"))
+        assert swapped != text
+        monkeypatch.setattr(repro, "fixture_text", lambda ident: swapped)
+        report = run_repro("2.1")
+        assert not report.ok
+        for check in ("conditional state determines the packaged s-map exactly",
+                      "s-map determines the packaged conditional state exactly"):
+            assert f"FAIL {check}" in report.lines, check
 
 
 def test_criterion_2_printed_defect_detected():

@@ -4,7 +4,9 @@ On `horizontal_sum([2, 3])`, with atoms a, a' and b1, b2, b3, the s-map
 below puts 0 on 40 of its 100 cells, a case the seeded sampler never
 draws: it draws every cross-block cell strictly positive.  Every element's
 row is the sum of its atoms' rows, with 1 read as the atoms of block a.
-Whether the independence laws hold on it is left open here.
+Law (iii) of the independence scan fails on it; whether that law needs a
+further hypothesis is ROADMAP item 14, left open here and kept as a strict
+expected failure below.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from qlogic import (
     conditional_from_smap,
     emit_model,
     horizontal_sum,
+    independence_law_scan,
     product_equivalence_scan,
     smap_from_conditional,
     smap_law_scan,
@@ -77,6 +80,15 @@ def test_the_boundary_smap_converts_both_ways(boundary):
     assert smap_from_conditional(f) == p
     assert smap_law_scan(p) is None
     assert product_equivalence_scan(p, f) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: law (iii) fails at "
+                   "b=b2, a=b1, c=a' on this valid, faithful s-map")
+def test_the_independence_laws_hold_on_the_boundary_smap(boundary):
+    logic, cells = boundary
+    verdict = independence_law_scan(conditional_from_smap(validate_smap(logic, cells)))
+    if verdict is not None:
+        pytest.fail(verdict)  # not an assert, which -O strips
 
 
 def test_the_cli_accepts_the_emitted_boundary_smap(boundary, tmp_path, capsys):

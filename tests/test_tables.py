@@ -40,6 +40,7 @@ from qlogic.errors import (
     UnknownElementError,
     UnsupportedLattice,
 )
+from qlogic import lattice
 from qlogic.lattice import ONE, ZERO
 from qlogic.cli import main
 from qlogic.modelfile import (
@@ -53,6 +54,7 @@ from qlogic.modelfile import (
 from qlogic.smaps import SMap
 from qlogic.states import (
     ConditionalState,
+    ConditionalSystem,
     State,
     validate_conditional_system,
 )
@@ -373,6 +375,21 @@ def test_tables_are_canonical(sampled_lattices):
         assert list(f.columns) == sorted(f.columns)
         assert ConditionalState(logic, f.cs, f.values) == f
         assert smap_from_conditional(f) == p
+        # equal on a logic built again, past the memo; one cell changed is not
+        twin = lattice._build_logic(logic.names, logic.covers(),
+                                    [(a, logic.complement(a)) for a in logic.names])
+        assert twin is not logic and twin == logic
+        assert SMap.from_table(twin, p.num, p.den) == p
+        changed = list(p.num)
+        changed[len(logic) + 1] += 1
+        assert SMap.from_table(twin, changed, p.den) != p
+        cs = ConditionalSystem(twin, f.cs.members)
+        assert ConditionalState.from_columns(twin, cs, f.columns) == f
+        a, (num, den) = next(iter(f.columns.items()))
+        changed = {**f.columns, a: ([num[0] + 1, *num[1:]], den)}
+        assert ConditionalState.from_columns(twin, cs, changed) != f
+        other = ConditionalSystem(twin, f.cs.members - {logic.names[a]})
+        assert ConditionalState.from_columns(twin, other, f.columns) != f
 
 
 def test_name_constructors_keep_holes(example21):
@@ -512,7 +529,9 @@ def test_values_is_a_mapping_in_names_order(example21):
 
 def test_values_equality(example21):
     """A view equals a dict or another view with the same cells, either
-    way round; a view of a partial table does not equal the full one."""
+    way round; a view of a partial table does not equal the full one.  An
+    s-map or a conditional state equals neither its view nor the other
+    kind, and is unhashable."""
     p, f = example21.smaps["p"], example21.conds["f"]
     for obj in (p, f):
         table = dict(obj.values)
@@ -528,6 +547,11 @@ def test_values_equality(example21):
         assert partial.values != obj.values and obj.values != partial.values
         assert partial.values == table and table == partial.values
         assert obj.values != list(obj.values)
+        # an object compares its tables with its own kind only
+        assert obj != obj.values and obj.values != obj
+        with pytest.raises(TypeError):
+            hash(obj)
+    assert p.__eq__(f) is NotImplemented and f.__eq__(p) is NotImplemented
     assert smap_from_conditional(f).values == p.values
     assert conditional_from_smap(p).values == f.values
     assert p.values != f.values
