@@ -124,19 +124,15 @@ def _block_indices(logic: QuantumLogic) -> tuple[tuple[int, ...], ...]:
     """:func:`infer_blocks` as atom indices, on the lattice's index tables."""
     names, leq, comp = logic.names, logic._leq, logic._comp
     atoms = [logic.index(a) for a in logic.atoms()]
-    seen = set()
-    blocks: list[list[int]] = []
+    seen, blocks = set(), []
     for atom in atoms:
         if atom not in seen:
             seen.add(atom)
-            component, frontier = [atom], [atom]
-            while frontier:
-                current = frontier.pop()
-                new = [b for b in atoms
-                       if b not in seen and leq[current][comp[b]]]
+            component = [atom]
+            for current in component:  # walks the atoms it appends, too
+                new = [b for b in atoms if b not in seen and leq[current][comp[b]]]
                 seen.update(new)
                 component += new
-                frontier += new
             blocks.append(tuple(sorted(component)))
     for block in blocks:
         if len(block) < 2:
@@ -187,8 +183,8 @@ def random_smap(logic: QuantumLogic, seed: int) -> SMap:
     takes all its mass, so the last row's mass is the columns' remainder,
     and the last row is that remainder.  Remaining entries follow by
     additivity, so the result is a valid s-map by construction; it is
-    deterministic for a fixed seed.  The lattice-only part of the work is
-    done once per lattice (see :func:`_sampling_plan`).
+    deterministic for a fixed seed, and its lattice-only part is kept (see
+    :func:`_sampling_plan`).
 
     The arithmetic is on integers over one denominator.  Draw k of a block
     pair moves a value by u / DENOMINATOR_BOUND of a span whose denominator
@@ -420,9 +416,8 @@ def smap_law_scan(p: SMap) -> str | None:
                 if v > diagonal[j]:
                     return f"p({a}, {b}) exceeds the diagonal at {b}"
     # marginal law: each block's atoms decompose 1
-    columns = [num[c::n] for c in range(n)]
     for block in _block_indices(logic):
-        by_row = list(map(sum, zip(*map(columns.__getitem__, block))))
+        by_row = list(map(sum, zip(*(num[c::n] for c in block))))
         by_column = list(map(sum, zip(*map(rows.__getitem__, block))))
         if by_row == by_column == list(diagonal):
             continue
@@ -437,15 +432,15 @@ def smap_law_scan(p: SMap) -> str | None:
 
 def independence_law_scan(f) -> str | None:
     """The three equivalences that follow from the independence definition,
-    over every admissible triple.
-
-    At c = a every b is independent, so (ii) and (iii) hold there, and (i)
-    asks that the columns of a and a' be equal: one comparison decides the
-    pair, and only a pair that fails is walked b by b."""
-    logic = f.logic
-    names, comp = logic.names, logic._comp
+    over every admissible triple, (iii) where a, b, c are pairwise
+    compatible, so in one block: there p(x, y) = m(x ^ y), f(c | a) =
+    f(c | b) = 1 gives m(a ^ c) = m(a), m(b ^ c) = m(b), and both sides say
+    m(a) m(b) = m(a ^ b) m(c); unrestricted, it fails (README).  At c = a,
+    (ii) and (iii) hold and (i) asks that columns a and a' agree, so only a
+    failing pair is walked."""
+    names, comp = f.logic.names, f.logic._comp
     col, one = f._common_columns
-    compatible = _compatibility(logic)
+    compatible = _compatibility(f.logic)
     # b is independent of a given c (where f(c | a) = 1) iff
     # f(b | c) = f(b | a), that is col[c][b] == col[a][b]
     for a, col_a in col.items():
@@ -457,6 +452,7 @@ def independence_law_scan(f) -> str | None:
                 col_ac = None
             if c == a and (col_ac is None or col_ac == col_a):
                 continue
+            ac = compatible[a][c]
             for b in range(len(names)):
                 ind = col_c[b] == col_a[b]
                 # (ii) b and its complement agree; at b' > b this repeats
@@ -468,10 +464,10 @@ def independence_law_scan(f) -> str | None:
                 if col_ac is not None and (col_c[b] == col_ac[b]) != ind:
                     return (f"(i) fails at b={names[b]}, a={names[a]}, "
                             f"c={names[c]}")
-                # (iii) symmetry for compatible members
+                # (iii) symmetry for pairwise compatible members
                 col_b = col.get(b)
-                if (col_b is not None and compatible[a][b] and col_b[c] == one
-                        and (col_c[a] == col_b[a]) != ind):
+                if (ac and compatible[a][b] and compatible[b][c] and col_b is not None
+                        and col_b[c] == one and (col_c[a] == col_b[a]) != ind):
                     return (f"(iii) fails at b={names[b]}, a={names[a]}, "
                             f"c={names[c]}")
     return None
@@ -481,8 +477,7 @@ def product_equivalence_scan(p: SMap, f) -> str | None:
     """Product factorization against the conditional-state definition of
     independence, conditioned on 1 (which f must condition on, as every
     conditional state derived from an s-map does)."""
-    names = p.logic.names
-    rows, den = p.rows(), p.den
+    names, rows, den = p.logic.names, p.rows(), p.den
     col, one = f._common_columns
     top = p.logic.index(ONE)
     given_one = col[top]
@@ -500,14 +495,22 @@ def product_equivalence_scan(p: SMap, f) -> str | None:
 
 
 def _value_vectors(logic: QuantumLogic, rng: random.Random):
-    """The two observables of the statistics scan, drawn from the trial
-    stream: for each of the first two blocks (one block twice, when there
-    is one), distinct integer values in -9..9 for its atoms, as the atom
-    indices and their values in increasing value order.  A block's atoms
-    already make an observable (see :func:`infer_blocks`)."""
-    drawn = [sorted(zip(rng.sample(range(-9, 10), len(block)), block))
-             for block in (_block_indices(logic) * 2)[:2]]
-    return [([a for _, a in pairs], [v for v, _ in pairs]) for pairs in drawn]
+    """The two observables of the statistics scan, as atom indices and
+    values in increasing value order: for each of the first two blocks (one
+    twice if only one), `rng.sample(range(-9, 10), k)` on its k atoms, by
+    sample's own loop (CPython 3.10-3.13); a block's atoms make one."""
+    bits, vectors = rng.getrandbits, []
+    for block in (_block_indices(logic) * 2)[:2]:
+        pool, values = list(range(-9, 10)), []
+        for m in range(19, 19 - len(block), -1):  # draw from m values
+            j = m
+            while j >= m:
+                j = bits(m.bit_length())
+            values.append(pool[j])
+            pool[j] = pool[m - 1]
+        values, atoms = zip(*sorted(zip(values, block)))
+        vectors.append((list(atoms), list(values)))
+    return vectors
 
 
 def _fractions(scale: int, values) -> str:
@@ -524,12 +527,10 @@ def _differ(scale: int, got: list, expected: list) -> str | None:
 #: The laws of the statistics scan, in the order it decides them, each as
 #: (name, the paper's statement, a check that returns None or a witness).
 #: A check reads the `_PairStats` of the pair (x, y), after its classical
-#: route: numerators over p's denominator d, with means over c d,
-#: covariances over (c d)^2 and the classical covariances over c^2 d^3 (the
-#: scan's values are integers, c = 1).  Where the variances are not
-#: negative, the first check also refuses a vanishing one, which leaves the
-#: correlation undefined (`DegenerateVariance`).  The last three, on the
-#: (x, x) table, run after the scan's two message checks.
+#: route, on its scales (the scan's values are integers, c = 1).  Where the
+#: variances are not negative, the first check also refuses a vanishing
+#: one, which leaves the correlation undefined (`DegenerateVariance`).  The
+#: last three, on the (x, x) table, run after the scan's two message checks.
 STATISTICS_LAWS = (
     ("variance-signs", "Var(x) = c(x, x) >= 0 and Var(y) = c(y, y) >= 0",
      lambda s: _check_variances(s.vx, s.vy) if s.vx >= 0 <= s.vy else
@@ -588,10 +589,7 @@ def statistics_law_scan(p: SMap, rng: random.Random) -> str | None:
     covariance is the number of the identity; Cauchy-Schwarz is then an
     equality; its two joint moments are the same sum.  The observables are
     the only draw from `rng`, so the trial stream does not depend on this.
-
-    The observables are integer value vectors over the blocks' atoms, and
-    compatibility is read from the lattice's table.  A broken law of
-    STATISTICS_LAWS is returned as 'law: witness'.
+    A broken law of STATISTICS_LAWS is returned as 'law: witness'.
     """
     (xs, X), (ys, Y) = _value_vectors(p.logic, rng)
     s = _PairStats(p, xs, ys, X, Y, 1)
@@ -622,8 +620,7 @@ def roundtrip_suite(logic: QuantumLogic, trials: int, seed: int) -> SuiteReport:
         _check_smap(p)
         f = conditional_from_smap(p)
         _check_conditional(f)
-        p2 = smap_from_conditional(f)
-        if p2 != p:
+        if smap_from_conditional(f) != p:
             return "s-map -> conditional -> s-map is not the identity"
         return (smap_law_scan(p)
                 or product_equivalence_scan(p, f)

@@ -127,7 +127,13 @@ def _sums(lines) -> list:
 
 def _form(us, vs, table):
     """Sum of us[i] * vs[j] * table[i][j]."""
-    return _dot(us, [_dot(vs, row) for row in table])
+    return _dot(us, [sum(map(operator.mul, vs, row)) for row in table])
+
+
+def _gather(indices):
+    """The cells of a row at `indices`, as a tuple even for one index."""
+    return (operator.itemgetter(*indices) if len(indices) > 1
+            else lambda row, i=indices[0]: (row[i],))
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +235,17 @@ class _PairStats:
     """
 
     def __init__(self, p: SMap, xs, ys, X, Y, c: int):
-        n, num, d = len(xs), p.num, p.den
-        events = [*xs, *ys]
-        # two events at least, so `pick` returns a tuple
-        size, pick = len(p.logic), operator.itemgetter(*events)
-        cells = [pick(num[e * size:(e + 1) * size]) for e in events]
+        num, d, size = p.num, p.den, len(p.logic)
+        x_rows = [num[e * size:(e + 1) * size] for e in xs]
+        y_rows = [num[e * size:(e + 1) * size] for e in ys]
+        at_x, at_y = _gather(xs), _gather(ys)
         self.X, self.Y, self.c, self.d = X, Y, c, d
-        self.xx = xx = [row[:n] for row in cells[:n]]
-        self.xy = [row[n:] for row in cells[:n]]
-        self.yx = [row[:n] for row in cells[n:]]
-        yy = [row[n:] for row in cells[n:]]
-        self.nu_x = [row[i] for i, row in enumerate(xx)]
-        self.nu_y = [row[j] for j, row in enumerate(yy)]
+        self.xx = xx = list(map(at_x, x_rows))
+        self.xy = list(map(at_y, x_rows))
+        self.yx = list(map(at_x, y_rows))
+        yy = list(map(at_y, y_rows))
+        self.nu_x = list(map(operator.getitem, x_rows, xs))
+        self.nu_y = list(map(operator.getitem, y_rows, ys))
         self.sx, self.sy = _dot(X, self.nu_x), _dot(Y, self.nu_y)
         self.mxy = _form(X, Y, self.xy)
         self.myx = _form(Y, X, self.yx)
@@ -291,14 +296,17 @@ class _PairStats:
         space, whose points (t, s) carry the (x, y) cells (`mx1`, `my1`),
         and on the second, of points (s, t) carrying the (y, x) cells
         (`mx2`, `my2`), over c d; then the covariances on the two spaces
-        (`cov1`, `cov2`), over c^2 d^3, which it returns."""
+        (`cov1`, `cov2`), over c^2 d^3, which it returns.  The sums of u w
+        and of v w over the cells are the means, so a covariance, the sum of
+        (u d - mean_u)(v d - mean_v) w, is d^2 times the first joint moment
+        plus the means' product times (total - 2 d): no pass over the table."""
         X, Y, d, xy, yx = self.X, self.Y, self.d, self.xy, self.yx
         self.rows_xy, self.columns_xy = _sums(xy), _sums(zip(*xy))
         self.rows_yx, self.columns_yx = _sums(yx), _sums(zip(*yx))
         self.mx1, self.my1 = _dot(X, self.rows_xy), _dot(Y, self.columns_xy)
         self.mx2, self.my2 = _dot(X, self.columns_yx), _dot(Y, self.rows_yx)
-        self.cov1 = _centered(X, Y, xy, d, self.mx1, self.my1)
-        self.cov2 = _centered(Y, X, yx, d, self.my2, self.mx2)
+        self.cov1 = d * d * self.mxy + self.mx1 * self.my1 * (sum(self.rows_xy) - 2 * d)
+        self.cov2 = d * d * self.myx + self.mx2 * self.my2 * (sum(self.rows_yx) - 2 * d)
         return self.cov1, self.cov2
 
 
@@ -406,20 +414,9 @@ def compute_stats(p: SMap, x: DiscreteObservable,
     joint_xy, joint_yx = stats.joint_tables(x.spectrum, y.spectrum)
     (nu_x, nu_y), (moment_xy, moment_yx) = stats.means, stats.moments
     return StatsReport(
-        nu_x=nu_x,
-        nu_y=nu_y,
-        moment_xy=moment_xy,
-        moment_yx=moment_yx,
-        cov_xy=m.xy,
-        cov_yx=m.yx,
-        var_x=m.xx,
-        var_y=m.yy,
-        r_xy=r_xy,
-        r_yx=r_yx,
-        matrix=m,
-        compatible=x.is_compatible_with(y),
+        nu_x=nu_x, nu_y=nu_y, moment_xy=moment_xy, moment_yx=moment_yx,
+        cov_xy=m.xy, cov_yx=m.yx, var_x=m.xx, var_y=m.yy, r_xy=r_xy, r_yx=r_yx,
+        matrix=m, compatible=x.is_compatible_with(y),
         joint_xy=JointDistribution(x.spectrum, y.spectrum, joint_xy),
         joint_yx=JointDistribution(y.spectrum, x.spectrum, joint_yx),
-        independence=independence,
-        notes=tuple(notes),
-    )
+        independence=independence, notes=tuple(notes))

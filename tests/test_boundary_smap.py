@@ -4,9 +4,9 @@ On `horizontal_sum([2, 3])`, with atoms a, a' and b1, b2, b3, the s-map
 below puts 0 on 40 of its 100 cells, a case the seeded sampler never
 draws: it draws every cross-block cell strictly positive.  Every element's
 row is the sum of its atoms' rows, with 1 read as the atoms of block a.
-Law (iii) of the independence scan fails on it; whether that law needs a
-further hypothesis is ROADMAP item 14, left open here and kept as a strict
-expected failure below.
+Law (iii) of the independence scan, stated without its hypothesis that c
+is compatible with a and with b, fails on it at b = b2, a = b1, c = a'
+(ROADMAP item 14); with the hypothesis, as the scan states it, it holds.
 """
 
 from __future__ import annotations
@@ -82,13 +82,16 @@ def test_the_boundary_smap_converts_both_ways(boundary):
     assert product_equivalence_scan(p, f) is None
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: law (iii) fails at "
-                   "b=b2, a=b1, c=a' on this valid, faithful s-map")
 def test_the_independence_laws_hold_on_the_boundary_smap(boundary):
     logic, cells = boundary
-    verdict = independence_law_scan(conditional_from_smap(validate_smap(logic, cells)))
-    if verdict is not None:
-        pytest.fail(verdict)  # not an assert, which -O strips
+    f = conditional_from_smap(validate_smap(logic, cells))
+    assert independence_law_scan(f) is None
+    # the unrestricted (iii) fails here: f(a' | b1) = f(a' | b2) = 1 and b1
+    # is compatible with b2, but a' is compatible with neither
+    assert f.is_independent("b2", "b1", "a'")
+    assert not f.is_independent("b1", "b2", "a'")
+    assert not logic.is_compatible("b1", "a'")
+    assert not logic.is_compatible("b2", "a'")
 
 
 def test_the_cli_accepts_the_emitted_boundary_smap(boundary, tmp_path, capsys):

@@ -85,7 +85,8 @@ def reference_independence_law_scan(f):
                     if f.is_independent(b, ac, c) != ind:
                         return f"(i) fails at b={b}, a={a}, c={c}"
                 if (b in f.cs and logic.is_compatible(a, b)
-                        and f(c, b) == 1):
+                        and logic.is_compatible(a, c)
+                        and logic.is_compatible(b, c) and f(c, b) == 1):
                     if f.is_independent(a, b, c) != ind:
                         return f"(iii) fails at b={b}, a={a}, c={c}"
     return None
@@ -191,6 +192,8 @@ def ref_joint(p, x, y):
 
 
 def ref_classical(p, x, y):
+    """The means of x and y and the covariances on the two classical
+    spaces, after asserting the theorems they obey."""
     jxy, jyx = ref_joint(p, x, y), ref_joint(p, y, x)
     pts_xy = [(t, s) for t in x.spectrum for s in y.spectrum]
     pts_yx = [(s, t) for s in y.spectrum for t in x.spectrum]
@@ -208,6 +211,7 @@ def ref_classical(p, x, y):
     assert cov_2 == ref_covariance(p, y, x)
     assert cov_1 * cov_1 <= vx * vy
     assert cov_2 * cov_2 <= vx * vy
+    return (mx1, my1), (cov_1, cov_2)
 
 
 def reference_statistics_law_scan(p, rng):

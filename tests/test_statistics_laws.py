@@ -20,10 +20,21 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from test_scan_reference import outcome, reference_statistics_law_scan
+from test_scan_reference import (
+    outcome,
+    ref_classical,
+    ref_covariance,
+    ref_expectation,
+    ref_moment,
+    ref_variance,
+    reference_statistics_law_scan,
+)
 
 from qlogic import (
     DiscreteObservable,
+    build_observable,
+    classical_representation,
+    compute_stats,
     conditional_from_smap,
     gen_boolean,
     gen_mo,
@@ -91,6 +102,51 @@ def test_value_vectors_draw_what_the_observables_drew(label):
         assert statistics_law_scan(p, new) is None
         assert reference_statistics_law_scan(p, old) is None
         assert new.getstate() == old.getstate()
+
+
+def random_observable(logic, rng):
+    """A seeded observable on one block: distinct Fractions on the joins of
+    the parts of a random partition of its atoms (one part is the
+    constant observable on 1)."""
+    block = list(rng.choice(infer_blocks(logic)))
+    rng.shuffle(block)
+    cuts = sorted(rng.sample(range(1, len(block)), rng.randrange(len(block))))
+    parts = [block[i:j] for i, j in zip([0, *cuts], [*cuts, len(block)])]
+    values = []
+    while len(values) < len(parts):
+        t = F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7]))
+        if t not in values:
+            values.append(t)
+    return build_observable(logic, zip(values, map(logic.join_all, parts)))
+
+
+ORACLE_SHAPES = {**AGREEMENT_SHAPES, "hs-2-3": (horizontal_sum, [2, 3])}
+
+
+@pytest.mark.parametrize("label", sorted(ORACLE_SHAPES))
+def test_pair_statistics_agree_with_the_name_keyed_reference(label):
+    """`compute_stats` and `classical_representation` against the
+    reference's own Fraction sums over element names, on seeded s-maps
+    and observables of one or more events with non-integer values."""
+    build, arg = ORACLE_SHAPES[label]
+    logic = build(arg)
+    rng = random.Random(len(label))
+    for seed in range(40):
+        p = random_smap(logic, seed)
+        nu = p.diagonal_state()
+        x, y = random_observable(logic, rng), random_observable(logic, rng)
+        report = compute_stats(p, x, y)
+        assert (report.nu_x, report.nu_y) == (ref_expectation(nu, x),
+                                              ref_expectation(nu, y))
+        assert (report.moment_xy, report.moment_yx) == (ref_moment(p, x, y),
+                                                        ref_moment(p, y, x))
+        assert (report.cov_xy, report.cov_yx) == (ref_covariance(p, x, y),
+                                                  ref_covariance(p, y, x))
+        assert (report.var_x, report.var_y) == (ref_variance(p, x),
+                                                ref_variance(p, y))
+        classical = classical_representation(p, x, y)
+        assert ((classical.mean_x, classical.mean_y),
+                (classical.cov_xy, classical.cov_yx)) == ref_classical(p, x, y)
 
 
 # -- the laws by name -----------------------------------------------------------
