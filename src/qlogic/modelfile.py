@@ -51,6 +51,7 @@ order given by its covering pairs.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import DuplicateSection, ParseError, UnknownElement
 from .lattice import (
@@ -60,6 +61,7 @@ from .lattice import (
     QuantumLogic,
     build_logic,
     is_element_name,
+    kept,
 )
 from .observables import DiscreteObservable, build_observable
 from .rational import NotALiteral, fmt, fmt_ratio, read_literal
@@ -194,6 +196,7 @@ def parse_model_text(text: str) -> ParsedModel:
         parsed.sections.append((kind, name))
         split, fault, pair, pair_fault = _LINE_FORMS[kind]
         flip = split == "->"  # an observable writes its value first
+        size = 0  # of the table; an insert that leaves it is a duplicate
         for lineno, line in enumerate(lines[start:end], start + 1):
             if "#" in line:
                 line = line.partition("#")[0]
@@ -224,9 +227,10 @@ def parse_model_text(text: str) -> ParsedModel:
                 key = (a, b)
             if flip:
                 key, value = value, key
-            if key in table:
-                raise ParseError(lineno, f"duplicate entry for {key}")
             table[key] = value
+            if len(table) == size:
+                raise ParseError(lineno, f"duplicate entry for {key}")
+            size += 1
     return parsed
 
 
@@ -262,11 +266,14 @@ def _parse_logic(parsed: ParsedModel, lines, start: int, end: int) -> None:
 
 
 def parse_model(path) -> ParsedModel:
-    """Read the file at `path` as UTF-8 without its leading byte-order mark,
-    if any.  The mark is cut after decoding, not by the "utf-8-sig" codec,
-    so a bad byte's reported offset counts from the start of the file."""
-    with open(path, encoding="utf-8") as handle:
-        return parse_model_text(handle.read().removeprefix("\ufeff"))
+    """Read the file at `path` as UTF-8 bytes, decoded at once, without its
+    leading byte-order mark, if any.  The mark is cut after decoding, not by
+    the "utf-8-sig" codec, so a bad byte's reported offset counts from the
+    start of the file.  No newline is translated: lines break wherever
+    `str.splitlines` breaks them, `\\r\\n` and a lone `\\r` included."""
+    with open(path, "rb") as handle:
+        text = handle.read().decode("utf-8")
+    return parse_model_text(text.removeprefix("\ufeff"))
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +321,45 @@ def realize_smap(logic: QuantumLogic, table: dict) -> SMap:
     """Read every given value exactly, then fill the omitted cells on the
     integer table: 0 in the 0 row and column, and the 1 row, the 1 column
     and (1, 1) by additivity over the first complement pair (c, c') where
-    its cells are given.  The sums use only given cells."""
+    its cells are given.  The sums use only given cells; which cells they
+    are is planned once per lattice (`_completion_plan`)."""
     p = SMap(logic, table)
-    n, num = len(logic), list(p.num)
-    zero, one = logic.index(ZERO), logic.index(ONE)
-    inner = [e for e in range(n) if e not in (zero, one)]
-    fills = [(cell, ()) for e in range(n) for cell in (zero * n + e, e * n + zero)]
-    if inner:  # c' is inner too: it is 0 only for c = 1, 1 only for c = 0
-        c, d = inner[0], logic._comp[inner[0]]
-        fills += [(e * n + one, (e * n + c, e * n + d)) for e in inner]
-        fills += [(one * n + e, (c * n + e, d * n + e)) for e in inner]
-        fills.append((one * n + one, [u * n + v for u in (c, d) for v in (c, d)]))
-    elif num[one * n + one] is None:
-        num[one * n + one] = p.den
-    for cell, parts in fills:
-        terms = [num[q] for q in parts]
-        if num[cell] is None and None not in terms:
-            num[cell] = sum(terms)
+    num = list(p.num)
+    zeros, sums = _completion_plan(logic)
+    for cell in zeros:
+        if num[cell] is None:
+            num[cell] = 0
+    for cell, parts in sums:
+        if num[cell] is None:
+            terms = parts(num)
+            if None not in terms:
+                num[cell] = sum(terms)
+    if not sums:  # the logic {0, 1}: p(1, 1) = 1
+        top = logic._index[ONE] * (len(logic) + 1)
+        if num[top] is None:
+            num[top] = p.den
     p.num = tuple(num)
     _check_smap(p)
     return p
+
+
+@kept
+def _completion_plan(logic: QuantumLogic) -> tuple:
+    """The cells of the 0 row and column, then (cell, gather of the cells
+    that sum to it) for each cell of the 1 row and column and for (1, 1),
+    over the first complement pair (c, c') of inner elements; the sums
+    read only inner cells, so the order of the fills does not matter."""
+    n, zero, one = len(logic), logic._index[ZERO], logic._index[ONE]
+    inner = [e for e in range(n) if e not in (zero, one)]
+    zeros = tuple(cell for e in range(n) for cell in (zero * n + e, e * n + zero))
+    if not inner:
+        return zeros, ()
+    c, d = inner[0], logic._comp[inner[0]]  # c' is inner too
+    sums = [(e * n + one, itemgetter(e * n + c, e * n + d)) for e in inner]
+    sums += [(one * n + e, itemgetter(c * n + e, d * n + e)) for e in inner]
+    sums.append((one * n + one, itemgetter(*[u * n + v for u in (c, d)
+                                             for v in (c, d)])))
+    return zeros, tuple(sums)
 
 
 def realize_observable(logic: QuantumLogic, table: dict) -> DiscreteObservable:

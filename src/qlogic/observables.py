@@ -31,7 +31,7 @@ from .errors import (
 from .lattice import ZERO, QuantumLogic
 from .rational import common_denominator, frac
 from .records import FrozenRecord
-from .smaps import SMap
+from .smaps import SMap, _is_independent
 from .states import State
 
 #: documented tolerance of the floating-point correlation coefficient
@@ -43,7 +43,7 @@ class DiscreteObservable(FrozenRecord):
     orthogonal nonzero events that join to 1.
 
     Observables are immutable (`assignment` is a read-only copy), so each
-    one sorts its values once and keeps the result.
+    one sorts its items by value once and keeps the result.
     """
 
     _fields = ("logic", "assignment")
@@ -55,8 +55,10 @@ class DiscreteObservable(FrozenRecord):
 
     @cached_property
     def spectrum(self) -> tuple[Fraction, ...]:
-        """The values in increasing order, sorted once per observable."""
-        return tuple(sorted(self.assignment))
+        """The values in increasing order; the sort keeps `elements` too."""
+        items = sorted(self.assignment.items(), key=operator.itemgetter(0))
+        self.__dict__["elements"] = tuple([e for _, e in items])
+        return tuple([t for t, _ in items])
 
     def element(self, t) -> str:
         return self.assignment[frac(t)]
@@ -64,15 +66,15 @@ class DiscreteObservable(FrozenRecord):
     @cached_property
     def elements(self) -> tuple[str, ...]:
         """Assigned events, in spectrum order."""
-        return tuple(self.assignment[t] for t in self.spectrum)
+        self.spectrum  # whose sort keeps them
+        return self.__dict__["elements"]
 
     def compose(self, g) -> "DiscreteObservable":
         """The observable g o self: relabel the spectrum through g and join
         the events of values that collide."""
         merged: dict[Fraction, str] = {}
-        for t in self.spectrum:
+        for t, e in zip(self.spectrum, self.elements):
             image = frac(g(t))
-            e = self.assignment[t]
             merged[image] = self.logic.join(merged[image], e) if image in merged else e
         return build_observable(self.logic, merged.items())
 
@@ -83,33 +85,35 @@ class DiscreteObservable(FrozenRecord):
                    for e in self.elements for f in other.elements)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{t} -> {self.assignment[t]}" for t in self.spectrum)
+        inner = ", ".join(f"{t} -> {e}" for t, e in zip(self.spectrum, self.elements))
         return f"DiscreteObservable({inner})"
 
 
 def build_observable(logic: QuantumLogic, assignment) -> DiscreteObservable:
-    """Validate a value -> event table as a discrete observable."""
+    """Validate a value -> event table as a discrete observable; each value
+    is hashed once, and the events are checked in spectrum order."""
     if isinstance(assignment, Mapping):
         assignment = assignment.items()
     table: dict[Fraction, str] = {}
-    for value, element in assignment:
+    for size, (value, element) in enumerate(assignment):
         t = frac(value)
-        if t in table:
+        table[t] = element
+        if len(table) == size:  # t was there already
             raise DuplicateValue(t)
         if element not in logic:
             raise UnknownElementError(element)
         if element == ZERO:
             raise ZeroElement(t)
-        table[t] = element
-    spectrum = sorted(table)
-    for i, t in enumerate(spectrum):
-        for s in spectrum[i + 1:]:
-            if not logic.is_orthogonal(table[t], table[s]):
-                raise NotOrthogonal(t, s, (table[t], table[s]))
+    x = DiscreteObservable(logic, table)
+    spectrum, elements = x.spectrum, x.elements
+    for i, (t, e) in enumerate(zip(spectrum, elements)):
+        for s, f in zip(spectrum[i + 1:], elements[i + 1:]):
+            if not logic.is_orthogonal(e, f):
+                raise NotOrthogonal(t, s, (e, f))
     total = logic.join_all(table.values())
     if total != "1":
         raise JoinNotOne(total)
-    return DiscreteObservable(logic, table)
+    return x
 
 
 def expectation(m: State, x: DiscreteObservable) -> Fraction:
@@ -225,17 +229,18 @@ class _PairStats:
     """The cells of x against y, read from p's table once, and the means,
     first joint moments and covariance matrix that follow from them.
 
-    x and y are given by their events' indices and their values, each in
-    increasing value order, as integer numerators over one denominator c,
-    so that p(x(t), y(s)) = xy[i][j] / d with t = X[i] / c and s = Y[j] / c,
-    d being p's denominator.  The cells of the four tables (x, x), (x, y),
-    (y, x) and (y, y) are numerators over d, so the sums run on integers: a
-    mean is an integer over c d, a first joint moment one over c^2 d and a
-    covariance one over (c d)^2.
+    x and y are given by their events' indices (kept as `xs` and `ys`) and
+    their values, each in increasing value order, as integer numerators
+    over one denominator c, so that p(x(t), y(s)) = xy[i][j] / d with
+    t = X[i] / c and s = Y[j] / c, d being p's denominator.  The cells of
+    the four tables (x, x), (x, y), (y, x) and (y, y) are numerators over
+    d, so the sums run on integers: a mean is an integer over c d, a first
+    joint moment one over c^2 d and a covariance one over (c d)^2.
     """
 
     def __init__(self, p: SMap, xs, ys, X, Y, c: int):
         num, d, size = p.num, p.den, len(p.logic)
+        self.xs, self.ys = xs, ys
         x_rows = [num[e * size:(e + 1) * size] for e in xs]
         y_rows = [num[e * size:(e + 1) * size] for e in ys]
         at_x, at_y = _gather(xs), _gather(ys)
@@ -408,9 +413,9 @@ def compute_stats(p: SMap, x: DiscreteObservable,
     except DegenerateVariance as exc:
         r_xy = r_yx = None
         notes.append(f"correlation omitted: {exc}")
-    events = list(dict.fromkeys(x.elements + y.elements))
-    independence = {(u, v): p.is_independent_pair(u, v)
-                    for u in events for v in events if u != v}
+    events = dict(zip(x.elements + y.elements, stats.xs + stats.ys)).items()
+    independence = {(u, v): _is_independent(p, i, j)
+                    for u, i in events for v, j in events if u != v}
     joint_xy, joint_yx = stats.joint_tables(x.spectrum, y.spectrum)
     (nu_x, nu_y), (moment_xy, moment_yx) = stats.means, stats.moments
     return StatsReport(

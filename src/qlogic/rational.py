@@ -12,7 +12,8 @@ from Python 3.12 on: an optional sign, then an integer `n`, a fraction
 part and exponent (`.5`, `5.`, `1.5E-2`); digit groups may be separated by
 single underscores (`1_000`), and any Unicode decimal digit counts.
 qlogic's own regex and caps decide what is a literal, on every Python, and
-`Fraction` computes the value of one outside the `n`, `n/d`, `n.m` forms.
+`Fraction` computes the value of one outside the `n`, `n/d`, `n.m` forms
+(each with one optional sign).
 """
 
 from __future__ import annotations
@@ -82,21 +83,24 @@ def read_literal(text: str) -> Fraction:
     Raises ValueError with :func:`check_literal`'s message when `text` is
     over its caps, and :class:`NotALiteral` when it is no literal.  The
     length cap is checked first; a plain `n`, `n/d` or `n.m` of decimal
-    digits is then read directly.  Any other token must match `_LITERAL`
-    (the exponent cap is checked only for a token that has an exponent or
-    does not match) and have no zero denominator; `Fraction` then computes
-    its value with the underscores and whitespace removed.
+    digits, after one optional `-` or `+`, is then read directly.  Any
+    other token must match `_LITERAL` (the exponent cap is checked only for
+    a token that has an exponent or does not match) and have no zero
+    denominator; `Fraction` then computes its value with the underscores
+    and whitespace removed.
     """
     token = text.strip()
     if len(token) > MAX_LITERAL_CHARS:
         check_literal(token)  # raises: over the length cap
-    num, slash, den = token.partition("/")
-    if num.isdecimal() and (den.isdecimal() or not slash):
+    num, slash, den = token.partition("/")  # int() reads a sign itself
+    if ((num.isdecimal() or num[:1] in "-+" and num[1:].isdecimal())
+            and (den.isdecimal() or not slash)):
         den = int(den) if slash else None
         if den != 0:  # a zero denominator is refused below
             return Fraction(int(num), den)
     whole, _, part = token.partition(".")
-    if whole.isdecimal() and part.isdecimal():
+    if ((whole.isdecimal() or whole[:1] in "-+" and whole[1:].isdecimal())
+            and part.isdecimal()):
         return Fraction(int(whole + part), 10 ** len(part))
     match = _LITERAL.fullmatch(token)
     if match is None or match["exp"]:

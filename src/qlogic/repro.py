@@ -87,8 +87,8 @@ class ReproReport(Record):
 
 def fixture_text(ident: str) -> str:
     path = os.path.join(os.path.dirname(__file__), "fixtures", FIXTURES[ident])
-    with open(path, encoding="utf-8") as file:
-        return file.read()
+    with open(path, "rb") as file:
+        return file.read().decode("utf-8")
 
 
 def _check_stats(report, stats, expected, r_xy: float, r_yx: float) -> None:

@@ -111,9 +111,13 @@ class SMap(Record):
         this s-map generates, conditioned on 1.  The relation is not
         symmetric in (b, a).
         """
-        n, num = len(self.logic), self.num
-        i, j = self.logic.index(b), self.logic.index(a)
-        return num[i * n + j] * self.den == num[j * n + j] * num[i * n + i]
+        return _is_independent(self, self.logic.index(b), self.logic.index(a))
+
+
+def _is_independent(p: SMap, i: int, j: int) -> bool:
+    """`SMap.is_independent_pair` of the elements at indices i and j."""
+    n, num = len(p.logic), p.num
+    return num[i * n + j] * p.den == num[j * n + j] * num[i * n + i]
 
 
 def validate_smap(logic: QuantumLogic, values) -> SMap:

@@ -113,6 +113,8 @@ EDGE_CASES = [
     "1/2/3", "1//2", "1 /2", "1/ 2", "1_0/2", "1/2_0", "+1/2", "1.5", ".5",
     "-.5e-3", "+.0e0", "1_0e1_0", "1e+0_1", "5/0_0", "1_000.000_1",
     "3\u2003/\u20034", "-0", "+0/5", "٣.٥e١", "1.5E-2",
+    "-1", "+1", "-3/4", "+3/4", "-1.5", "+0.25", "-0.0", "-١/٣", "-1/0",
+    "-", "+", "- 1", "--1", "-+1", "+-1", "-1/-2", "-1/+2", "-/2", "-.",
 ]
 
 
@@ -140,6 +142,16 @@ def test_edge_cases(text):
     ("٣.٥e١", Fraction(35)),
     ("3\u2003/\u20034", Fraction(3, 4)),
     ("5/0_0", NotALiteral),
+    ("-1", Fraction(-1)),
+    ("+7", Fraction(7)),
+    ("-3/6", Fraction(-1, 2)),
+    ("-0.12", Fraction(-3, 25)),
+    ("+2.5", Fraction(5, 2)),
+    ("-0", Fraction(0)),
+    ("-", NotALiteral),
+    ("- 1", NotALiteral),
+    ("--1", NotALiteral),
+    ("-1/0", NotALiteral),
 ], ids=short_id)
 def test_edge_cases_read_as_documented(text, expected):
     """The caps come before the grammar: `x e 999` is over the exponent cap

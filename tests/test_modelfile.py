@@ -28,6 +28,7 @@ from qlogic.generators import infer_blocks
 from qlogic.lattice import ONE, ZERO, is_element_name
 from qlogic.modelfile import (
     ModelFile,
+    _completion_plan,
     emit_model,
     load_model,
     parse_model,
@@ -41,6 +42,7 @@ from qlogic.modelfile import (
 )
 from qlogic.rational import read_literal
 from qlogic.repro import fixture_text
+from test_completion_reference import assert_same, is_bound
 from test_literal_reference import outcome, reference_read_literal
 
 MINIMAL = """\
@@ -224,6 +226,13 @@ XY = "[logic]\nelements 0 1 x y\ncomplement x y\n"
     # a duplicate key, printed as the table keys it
     ("[state m]\nx = 1\nx = 0\n", 6, "duplicate entry for x"),
     ("[smap p]\nx , y = 0\nx , y = 0\n", 6, "duplicate entry for ('x', 'y')"),
+    # ... also after another entry, for each kind
+    ("[state m]\nx = 1\ny = 0\nx = 1\n", 7, "duplicate entry for x"),
+    ("[cond f]\nx | x = 1\ny | x = 0\nx | x = 1\n", 7,
+     "duplicate entry for ('x', 'x')"),
+    ("[smap p]\nx , x = 1\nx , y = 0\nx , x = 1\n", 7,
+     "duplicate entry for ('x', 'x')"),
+    ("[observable o]\n1 -> x\n2 -> y\n1 -> y\n", 7, "duplicate entry for 1"),
 ])
 def test_parse_reports_the_first_fault(body, line, message):
     """Fields are read left to right except that a line's number comes
@@ -247,6 +256,26 @@ def test_empty_smap_on_the_two_element_logic():
     assert p(ZERO, ONE) == p(ONE, ZERO) == p(ZERO, ZERO) == 0
 
 
+@pytest.mark.parametrize("prefix,breaks", [
+    (b"", ["\n"]),
+    (b"", ["\r\n"]),
+    (b"", ["\r"]),
+    (b"", ["\n", "\r\n", "\r", "\r\n", "\x0b", "\u2028"]),
+    (b"\xef\xbb\xbf", ["\r\n"]),
+])
+def test_a_file_reads_as_its_text_whatever_its_line_breaks(tmp_path, prefix,
+                                                            breaks):
+    """The bytes are decoded as they are, with no newline translation:
+    `str.splitlines` alone finds the lines, so every break it knows reads
+    like a line feed, and a leading byte-order mark is cut."""
+    text = fixture_text("2.1")
+    lines = text.split("\n")
+    path = tmp_path / "example21.qlm"
+    path.write_bytes(prefix + "".join(
+        line + breaks[i % len(breaks)] for i, line in enumerate(lines)).encode())
+    assert parse_model(path) == parse_model_text(text)
+
+
 def test_unknown_element_token():
     with pytest.raises(UnknownElement) as exc:
         parse_model_text("[logic]\nelements 0 1 x y\ncomplement x z\n")
@@ -262,6 +291,33 @@ def test_duplicate_section_kinds_are_separate_namespaces():
     # same name under a different kind is allowed
     parsed = parse_model_text(text.replace("b | a = 0\n", ""))
     assert ("cond", "m") in parsed.sections
+
+
+# -- the s-map completion plan ----------------------------------------------
+
+
+def test_completion_on_a_horizontal_sum_of_unequal_blocks():
+    """A complete table, its inner cells alone, and those with one
+    complement-pair cell cut; the two-element logic and `pasting12` are
+    among the reference's own inputs."""
+    logic = horizontal_sum([3, 4])
+    for full in (dict(random_smap(logic, seed).values) for seed in range(3)):
+        inner = {k: v for k, v in full.items() if not is_bound(k)}
+        c = next(e for e in logic.names if e not in (ZERO, ONE))
+        holed = {k: v for k, v in inner.items() if k != (c, logic.complement(c))}
+        assert assert_same(logic, full) == assert_same(logic, inner)
+        assert assert_same(logic, holed)[0] is MissingTableEntry
+
+
+def test_each_logic_has_its_own_completion_plan(pasting12):
+    logics = [gen_boolean(1), gen_boolean(2), gen_boolean(3), gen_mo(2),
+              gen_mo(3), horizontal_sum([2, 3]), horizontal_sum([3, 4]),
+              pasting12]
+    plans = [_completion_plan(logic) for logic in logics]
+    assert len({id(plan) for plan in plans}) == len(plans)
+    for logic, plan in zip(logics, plans):
+        assert _completion_plan(logic) is plan
+        assert repr(_completion_plan.__wrapped__(logic)) == repr(plan)
 
 
 # -- emission ------------------------------------------------------------------

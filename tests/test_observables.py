@@ -70,6 +70,11 @@ def test_build_observable_rejections(mo2):
     with pytest.raises(NotOrthogonal) as exc:
         build_observable(mo2, {0: "a", 1: "b"})
     assert (exc.value.a, exc.value.b) == (F(0), F(1))
+    # the first pair in spectrum order, not in the order given
+    with pytest.raises(NotOrthogonal) as exc:
+        build_observable(mo2, {3: "a", 2: "a'", 1: "b"})
+    assert (exc.value.a, exc.value.b) == (F(1), F(2))
+    assert "elements 'b' and \"a'\" for spectrum values 1 and 2" in str(exc.value)
     with pytest.raises(JoinNotOne) as exc:
         build_observable(mo2, {5: "a"})
     assert exc.value.join == "a"
@@ -251,6 +256,28 @@ def test_independence_block_in_stats(example21):
     assert stats.independence["b", "a"] is False
     assert stats.independence["a", "a'"] is False
     assert ("a", "a") not in stats.independence
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.sampled_from([gen_mo(2), gen_mo(3), gen_mo(4), gen_boolean(3),
+                        horizontal_sum([2, 3])]),
+       st.integers(0, 2 ** 32), st.randoms(use_true_random=False))
+def test_independence_flags_are_is_independent_pair(logic, seed, rng):
+    """Every ordered pair of distinct assigned events, in the order the
+    events first appear in x then y, flagged as `is_independent_pair`
+    flags it, which is the product rule on the Fractions."""
+    p = random_smap(logic, seed)
+    blocks = infer_blocks(logic)
+    x, y = (build_observable(logic, zip(rng.sample(range(-5, 6), len(b)), b))
+            for b in (rng.choice(blocks), rng.choice(blocks)))
+    for u, v in ((x, y), (y, x), (x, x)):
+        events = list(dict.fromkeys(u.elements + v.elements))
+        independence = compute_stats(p, u, v).independence
+        assert list(independence) == [(a, b) for a in events for b in events
+                                      if a != b]
+        for (a, b), flag in independence.items():
+            assert flag is p.is_independent_pair(a, b)
+            assert flag is (p(a, b) == p(a, a) * p(b, b))
 
 
 #: every lattice shape the correlation property is drawn on
